@@ -12,11 +12,12 @@ use crate::inputs::{self, Input, Workload};
 use crate::mirror::{self, Traced};
 use crate::outcome::{check_compiles, deterministic_json, metric, Metric, Tally};
 use crate::stats::{median, peak_rss_mb, percentile, ratio};
-use crate::trace::Tracer;
+use crate::trace::{Span, Tracer};
 
 /// One untraced pass over every input.
 pub struct Pass {
-    /// The last report per input that compiled.
+    /// The last report per input that compiled, when the pass was asked
+    /// to keep them.
     pub reports: Vec<CompileReport>,
     /// Deterministic JSON per input (`None` where the compile failed).
     pub outputs: Vec<Option<String>>,
@@ -26,7 +27,9 @@ pub struct Pass {
 
 /// Compiles and renders every input `input.repeats` times, counting each
 /// compile as one operation; the repeats must render identical reports.
-pub fn untraced_pass(inputs: &[Input], tally: &mut Tally) -> Pass {
+/// Unless `keep_reports`, each report is dropped as soon as it is
+/// rendered, so the process holds no more than one compile's memory.
+pub fn untraced_pass(inputs: &[Input], keep_reports: bool, tally: &mut Tally) -> Pass {
     let mut pass = Pass { reports: Vec::new(), outputs: Vec::new(), latency_ms: Vec::new() };
     for input in inputs {
         let mut output: Option<String> = None;
@@ -50,7 +53,7 @@ pub fn untraced_pass(inputs: &[Input], tally: &mut Tally) -> Pass {
                         format!("{}: a repeated compile rendered differently", input.label)
                     });
                     samples.push(elapsed_ms);
-                    last = Some(report);
+                    last = keep_reports.then_some(report);
                 }
                 Ok(Err(e)) => tally.fail(|| format!("{}: {e}", input.label)),
                 Err(_) => tally.fail(|| format!("{}: compile panicked", input.label)),
@@ -127,30 +130,40 @@ pub fn run(
     let mut latencies = Latencies::default();
     let mut passes = 0usize;
     let mut first: Option<Vec<Option<String>>> = None;
-    let last = loop {
-        let pass = untraced_pass(&setup.inputs, &mut tally);
+    let outputs = loop {
+        let pass = untraced_pass(&setup.inputs, false, &mut tally);
         latencies.record(&pass);
         passes += 1;
         match &first {
-            None => first = Some(pass.outputs.clone()),
+            None => first = Some(pass.outputs),
             Some(outputs) => tally.check(*outputs == pass.outputs, || {
                 "a repeated compile of the same input produced different output".into()
             }),
         }
         if started.elapsed() >= deadline {
-            break pass;
+            break first.expect("at least one pass");
         }
     };
     let loop_s = started.elapsed().as_secs_f64();
+    // Read before the checked pass below, which holds every report at once.
     let peak_mb = peak_rss_mb()?;
     let checks_started = Instant::now();
-    let quality = check_compiles(&last.reports, &mut tally);
+    let checked = untraced_pass(&setup.inputs, true, &mut tally);
+    tally.check(checked.outputs == outputs, || {
+        "the checked recompile rendered differently from the timed passes".into()
+    });
+    // The checked pass compiles like a timed one, so its times are samples
+    // too (random-1m gets three instead of two); the throughput below
+    // counts the timed loop only.
+    let loop_samples = latencies.samples();
+    latencies.record(&checked);
+    let quality = check_compiles(&checked.reports, &mut tally);
     let typical_ms = latencies.typical_ms();
     eprintln!(
         "benchmark: {}: {passes} pass(es), {} compiles of {} inputs; set-up {setup_wall:.1} s, \
-         timed loop {loop_s:.1} s, output checks {:.1} s",
+         timed loop {loop_s:.1} s, checked pass and output checks {:.1} s",
         workload.name(),
-        latencies.samples(),
+        loop_samples,
         typical_ms.len(),
         checks_started.elapsed().as_secs_f64()
     );
@@ -163,7 +176,7 @@ pub fn run(
         metric("latency_ratio", quality.latency_ratio(), "ratio"),
         metric("latency_ms_p50", percentile(&typical_ms, 50.0), "ms"),
         metric("latency_ms_p95", percentile(&typical_ms, 95.0), "ms"),
-        metric("requests_per_s", latencies.samples() as f64 / loop_s, "1/s"),
+        metric("requests_per_s", loop_samples as f64 / loop_s, "1/s"),
         metric("setup_s", setup.setup_s, "s"),
     ];
     Ok((tally, metrics))
@@ -219,17 +232,10 @@ impl LayerTotals {
     }
 }
 
-/// Names of the identity-pipeline spans, whose sum `compile_placed`
-/// repeats before it refines.
-const PIPELINE_SPANS: [&str; 7] = [
-    "core.orient",
-    "circuit.unroll_pipeline",
-    "core.comm_ir",
-    "core.aggregate",
-    "core.assign",
-    "core.metrics",
-    "core.schedule",
-];
+/// Total duration of the spans named `name`, in s.
+fn span_total(spans: &[Span], name: &str) -> f64 {
+    spans.iter().filter(|s| s.name == name).map(Span::duration_s).sum()
+}
 
 /// Traces every input once; checks each traced output against the
 /// untraced one and returns the traced results.
@@ -251,26 +257,30 @@ pub fn traced_pass(
                     format!("{}: traced output differs from dqc_cli::compile", input.label)
                 });
                 let placement = &traced.report.placement;
-                tally.check(traced.identity_epr_cost == placement.initial_epr_cost, || {
+                let result = &traced.report.result;
+                let identity = &traced.identity;
+                tally.check(identity.metrics.total_epr_cost == placement.initial_epr_cost, || {
                     format!(
                         "{}: traced identity steps disagree with compile_placed's start",
                         input.label
                     )
                 });
-                let spans = &tr.spans()[before..];
-                let placed: f64 = spans
-                    .iter()
-                    .filter(|s| s.name == "partition.compile_placed")
-                    .map(|s| s.duration_s())
-                    .sum();
-                if placed > 0.0 {
-                    let identity: f64 = spans
-                        .iter()
-                        .filter(|s| PIPELINE_SPANS.contains(&s.name))
-                        .map(|s| s.duration_s())
-                        .sum();
-                    *refine_s += (placed - identity).max(0.0);
+                // With no accepted round the driver returns its identity run.
+                if placement.iterations == 0 {
+                    tally.check(
+                        identity.metrics == result.metrics && identity.schedule == result.schedule,
+                        || {
+                            format!(
+                                "{}: traced identity steps disagree with compile_placed's result",
+                                input.label
+                            )
+                        },
+                    );
                 }
+                let spans = &tr.spans()[before..];
+                let placed = span_total(spans, "partition.compile_placed");
+                let identity = span_total(spans, mirror::IDENTITY_RUN);
+                *refine_s += (placed - identity).max(0.0);
                 out.push(traced);
             }
             Ok(Err(e)) => tally.fail(|| format!("{}: traced compile failed: {e}", input.label)),
@@ -301,19 +311,24 @@ pub fn traced_artifacts(
     }
 }
 
-/// Time of one more untraced pass, run after the traced ones so that both
-/// sides of `trace.overhead_s` run warm; its outputs must still match.
-pub fn warm_untraced_s(inputs: &[Input], outputs: &[Option<String>], tally: &mut Tally) -> f64 {
-    let pass = untraced_pass(inputs, tally);
+/// One more untraced pass, run after the traced ones so that the untraced
+/// side of `trace.overhead_s` also has a warm sample; its outputs must
+/// still match.
+pub fn warm_untraced(
+    inputs: &[Input],
+    outputs: &[Option<String>],
+    latencies: &mut Latencies,
+    tally: &mut Tally,
+) {
+    let pass = untraced_pass(inputs, false, tally);
     tally.check(pass.outputs == outputs, || "an untraced recompile rendered differently".into());
-    let mut latencies = Latencies::default();
     latencies.record(&pass);
-    latencies.pass_s()
 }
 
 /// The traced run: one untraced reference pass (for the output
 /// comparison), traced passes until `seconds` have elapsed, then one more
-/// untraced pass for `trace.overhead_s`.
+/// untraced pass; `trace.overhead_s` compares with the median of the two
+/// untraced ones.
 pub fn run_traced(
     workload: Workload,
     seed: u64,
@@ -322,8 +337,10 @@ pub fn run_traced(
 ) -> Result<(Tally, Vec<Metric>, Tracer), String> {
     let mut tally = Tally::default();
     let setup = prepare(workload, seed, dir, &mut tally)?;
-    let reference = untraced_pass(&setup.inputs, &mut tally);
+    let reference = untraced_pass(&setup.inputs, true, &mut tally);
     check_compiles(&reference.reports, &mut tally);
+    let mut untraced = Latencies::default();
+    untraced.record(&reference);
     let outputs = reference.outputs;
     drop(reference.reports);
 
@@ -345,14 +362,19 @@ pub fn run_traced(
     }
     traced_artifacts(&mut tr, &last, &mut totals, |t| t.report.args.file.display().to_string());
     drop(last);
-    let untraced_s = warm_untraced_s(&setup.inputs, &outputs, &mut tally);
-    let metrics = layer_metrics(&tr, passes, &totals, refine_s, untraced_s, None);
+    warm_untraced(&setup.inputs, &outputs, &mut untraced, &mut tally);
+    let metrics =
+        layer_metrics(&tr, passes, &totals, refine_s, untraced.pass_s(), None, &mut tally);
     Ok((tally, metrics, tr))
 }
 
+/// Least share of the traced wall time the named spans must cover.
+const MIN_COVERAGE: f64 = 0.95;
+
 /// Per-layer metrics from the spans (self time per traced pass) and the
 /// traced outputs. `serve` carries the service-layer metrics, which only
-/// serve-zipf measures; elsewhere they read 0.
+/// serve-zipf measures; elsewhere they read 0. Coverage below
+/// [`MIN_COVERAGE`] counts as a failed check.
 pub fn layer_metrics(
     tr: &Tracer,
     passes: usize,
@@ -360,14 +382,24 @@ pub fn layer_metrics(
     refine_s: f64,
     untraced_s: f64,
     serve: Option<[f64; SERVE_LAYER.len()]>,
+    tally: &mut Tally,
 ) -> Vec<Metric> {
     let mut self_time = tr.self_time_by_name(mirror::ROOT);
     let artifact_self = tr.self_time_by_name(ARTIFACT_ROOT);
-    let traced_wall = tr.root_time(mirror::ROOT) + tr.root_time(ARTIFACT_ROOT);
-    let covered: f64 = self_time.values().sum::<f64>() + artifact_self.values().sum::<f64>();
+    let compile_wall = tr.root_time(mirror::ROOT);
+    let traced_wall = compile_wall + tr.root_time(ARTIFACT_ROOT);
+    let compile_covered: f64 = self_time.values().sum();
+    let covered = compile_covered + artifact_self.values().sum::<f64>();
     self_time.extend(artifact_self);
     let n = passes.max(1) as f64;
     let layer = |name: &str| self_time.get(name).copied().unwrap_or(0.0) / n;
+    // The traced compile without the step-by-step identity run, which the
+    // CLI does not make: what the untraced pass should have cost.
+    let identity_s = span_total(tr.spans(), mirror::IDENTITY_RUN) / n;
+    let coverage = ratio(covered, traced_wall);
+    tally.check(coverage >= MIN_COVERAGE, || {
+        format!("named spans cover only {coverage:.3} of the traced wall time")
+    });
     let parse_s = layer("circuit.parse");
     let mut m = vec![
         metric("circuit.parse_s", parse_s, "s"),
@@ -417,8 +449,13 @@ pub fn layer_metrics(
     for ((name, unit), value) in SERVE_LAYER.into_iter().zip(serve) {
         m.push(metric(name, value, unit));
     }
-    m.push(metric("trace.coverage", ratio(covered, traced_wall), "ratio"));
-    m.push(metric("trace.overhead_s", tr.root_time(mirror::ROOT) / n - untraced_s, "s"));
+    m.push(metric("trace.coverage", coverage, "ratio"));
+    m.push(metric(
+        "trace.coverage_untraced",
+        ratio(compile_covered / n - identity_s, untraced_s),
+        "ratio",
+    ));
+    m.push(metric("trace.overhead_s", compile_wall / n - identity_s - untraced_s, "s"));
     m
 }
 

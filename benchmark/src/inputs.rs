@@ -149,15 +149,15 @@ pub struct Setup {
 }
 
 /// Generates the workload's inputs and writes them as QASM into `dir`,
-/// several times (at least three rounds and at least 1.5 s), so
-/// the set-up time is a median and the rounds double as a determinism
-/// check.
+/// several times (at least three rounds and at least 3 s), so the
+/// set-up time is a median over the host's fast and slow spells and the
+/// rounds double as a determinism check.
 pub fn setup(workload: Workload, seed: u64, dir: &Path) -> Result<Setup, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let mut times = Vec::new();
     let mut rounds: Vec<Vec<Input>> = Vec::new();
     let started = Instant::now();
-    while rounds.len() < 3 || (started.elapsed().as_secs_f64() < 1.5 && rounds.len() < 25) {
+    while rounds.len() < 3 || (started.elapsed().as_secs_f64() < 3.0 && rounds.len() < 50) {
         let t = Instant::now();
         let mut inputs = Vec::new();
         for (label, circuit, flags) in workload.circuits(seed) {

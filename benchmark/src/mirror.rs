@@ -1,26 +1,27 @@
 //! The traced run: `dqc_cli::compile` repeated call by call, with a span
 //! around each call into a crate's public API.
 //!
-//! The composition mirrors `dqc_cli::compile` and the default pipeline it
-//! runs (`compile_placed` with zero refinement rounds for `oee`): read →
-//! `from_qasm` → the partition's `unroll_circuit` →
-//! `InteractionGraph::from_circuit` → `oee_partition` → hardware →
-//! `orient_symmetric_gates` → `unroll_circuit` → `CommIr::build_shared` →
-//! `aggregate_ir_with_stats` → `assign_on` → `CommMetrics::of` →
-//! `schedule` → placement report → `CircuitStats::of` → render. Under
-//! `--placement topo` the refinement driver `compile_placed` runs after
-//! the identity steps, as its own span, and supplies the result. The
-//! caller checks that the rendered report equals the untraced one, so the
-//! trace always measures the program the CLI runs.
+//! The composition mirrors `dqc_cli::compile`: read → `from_qasm` → the
+//! partition's `unroll_circuit` → `InteractionGraph::from_circuit` →
+//! `oee_partition` → hardware → `compile_placed` → `CircuitStats::of` →
+//! render. `compile_placed` is the placement driver the CLI runs under
+//! every strategy (zero refinement rounds for `oee`); it supplies the
+//! report, as one span. To split its work by layer, the identity-placement
+//! run it starts with (`orient_symmetric_gates` → `unroll_circuit` →
+//! `CommIr::build_shared` → `aggregate_ir_with_stats` → `assign_on` →
+//! `CommMetrics::of` → `schedule`) is also run step by step just before
+//! it, each step in its own span; whatever the driver spends beyond that
+//! run is `partition.refine_s`. The caller checks that the rendered report
+//! equals the untraced one, so the trace always measures the program the
+//! CLI runs.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use autocomm::{
-    aggregate_ir_with_stats, assign_on, comm_weighted_graph, orient_symmetric_gates, schedule,
-    AggregateOptions, AggregateStats, AutoComm, AutoCommOptions, CommIr, CommMetrics,
-    CompileResult, PassReport, Placement, PlacementConfig, PlacementReport, PlacementWork,
-    ScheduleOptions,
+    aggregate_ir_with_stats, assign_on, orient_symmetric_gates, schedule, AggregateOptions,
+    AggregateStats, AutoComm, AutoCommOptions, CommIr, CommMetrics, PassReport, Placement,
+    PlacementConfig, ScheduleOptions, ScheduleSummary,
 };
 use dqc_circuit::{from_qasm, unroll_circuit, Circuit, CircuitStats, Partition};
 use dqc_cli::{resolve_topology, CompileArgs, CompileReport, PartitionStrategy};
@@ -37,13 +38,25 @@ pub struct Traced {
     pub aggregate_stats: AggregateStats,
     /// Bytes of QASM parsed.
     pub qasm_bytes: usize,
-    /// Total EPR cost of the traced identity-placement steps; under
-    /// `topo` it must equal the refinement driver's starting cost.
-    pub identity_epr_cost: usize,
+    /// What the step-by-step identity-placement run produced.
+    pub identity: Identity,
+}
+
+/// The outputs of the step-by-step identity-placement run that the caller
+/// compares with `compile_placed`'s: its starting cost always, and its
+/// whole result when no refinement round was accepted.
+pub struct Identity {
+    pub metrics: CommMetrics,
+    pub schedule: ScheduleSummary,
 }
 
 /// Root span name of one traced compile.
 pub const ROOT: &str = "compile";
+
+/// Span around the step-by-step identity-placement run, its frees
+/// included. The CLI does not make this run, so it is the trace's extra
+/// work.
+pub const IDENTITY_RUN: &str = "core.identity_run";
 
 /// Compiles `args` like `dqc_cli::compile`, recording spans in `tr`.
 pub fn traced_compile(tr: &mut Tracer, args: CompileArgs) -> Result<Traced, String> {
@@ -84,21 +97,20 @@ fn compile_steps(tr: &mut Tracer, args: CompileArgs) -> Result<Traced, String> {
     let mut options = AutoCommOptions::default();
     options.schedule.buffer = args.buffer;
 
-    let (mut result, aggregate_stats) =
-        pipeline_steps(tr, &circuit, &partition, &hw, options.schedule)?;
-    let identity_epr_cost = result.metrics.total_epr_cost;
-    let placement = if args.strategy == PartitionStrategy::Topo {
-        let config = PlacementConfig { refine_iters: args.refine_iters, ..Default::default() };
-        let (placed, report) = tr
-            .span("partition.compile_placed", || {
-                AutoComm::with_options(options).compile_placed(&circuit, &partition, &hw, &config)
-            })
-            .map_err(|e| e.to_string())?;
-        result = placed;
-        report
-    } else {
-        tr.span("partition.report", || identity_report(&result, &hw))
+    tr.begin(IDENTITY_RUN);
+    let identity = identity_steps(tr, &circuit, &partition, &hw, options.schedule);
+    tr.end();
+    let (identity, aggregate_stats) = identity?;
+    let refine_iters = match args.strategy {
+        PartitionStrategy::Topo => args.refine_iters,
+        _ => 0,
     };
+    let config = PlacementConfig { refine_iters, ..Default::default() };
+    let (mut result, placement) = tr
+        .span("partition.compile_placed", || {
+            AutoComm::with_options(options).compile_placed(&circuit, &partition, &hw, &config)
+        })
+        .map_err(|e| e.to_string())?;
     result.passes.insert(
         0,
         PassReport { pass: "parse", duration: Duration::from_secs_f64(parse_s), metric: None },
@@ -107,7 +119,10 @@ fn compile_steps(tr: &mut Tracer, args: CompileArgs) -> Result<Traced, String> {
     let stats = tr.span("circuit.stats", || CircuitStats::of(&result.unrolled, Some(&partition)));
     let report = CompileReport { args, stats, partition, hardware: hw, placement, result };
     let rendered = tr.span("cli.render", || report.to_json().to_string());
-    Ok(Traced { report, rendered, aggregate_stats, qasm_bytes: text.len(), identity_epr_cost })
+    let qasm_bytes = text.len();
+    // `dqc_cli::compile` frees its input before it returns.
+    tr.span("cli.free_input", move || drop((text, circuit)));
+    Ok(Traced { report, rendered, aggregate_stats, qasm_bytes, identity })
 }
 
 /// The CLI's `build_partition` for the strategies the benchmark uses.
@@ -128,74 +143,32 @@ fn build_partition(
 }
 
 /// The default pipeline (orient → unroll → comm-ir → aggregate → assign →
-/// metrics → schedule) under the identity placement.
-fn pipeline_steps(
+/// metrics → schedule) under the identity placement, the run
+/// `compile_placed` starts with. Only the outputs the caller compares are
+/// kept, so the artifacts are freed before the driver runs.
+fn identity_steps(
     tr: &mut Tracer,
     circuit: &Circuit,
     partition: &Partition,
     hw: &HardwareSpec,
     schedule_options: ScheduleOptions,
-) -> Result<(CompileResult, AggregateStats), String> {
-    let mut passes = Vec::new();
+) -> Result<(Identity, AggregateStats), String> {
     let placement = Placement::identity(partition);
-    let oriented = step(tr, &mut passes, "core.orient", "orient", || {
-        orient_symmetric_gates(circuit, partition)
-    });
-    let unrolled = step(tr, &mut passes, "circuit.unroll_pipeline", "unroll", move || {
-        let unrolled = unroll_circuit(&oriented);
-        drop(oriented);
-        unrolled
-    })
-    .map_err(|e| e.to_string())?;
-    let ir = step(tr, &mut passes, "core.comm_ir", "comm-ir", || {
-        CommIr::build_shared(&unrolled, partition)
-    });
-    let (aggregated, stats) = step(tr, &mut passes, "core.aggregate", "aggregate", || {
+    let oriented = tr.span("core.orient", || orient_symmetric_gates(circuit, partition));
+    let unrolled = tr
+        .span("circuit.unroll_pipeline", move || {
+            let unrolled = unroll_circuit(&oriented);
+            drop(oriented);
+            unrolled
+        })
+        .map_err(|e| e.to_string())?;
+    let ir = tr.span("core.comm_ir", || CommIr::build_shared(&unrolled, partition));
+    let (aggregated, stats) = tr.span("core.aggregate", || {
         aggregate_ir_with_stats(Arc::clone(&ir), AggregateOptions::default())
     });
-    let assigned = step(tr, &mut passes, "core.assign", "assign", || {
-        assign_on(&aggregated, &placement, hw.topology())
-    });
-    let metrics = step(tr, &mut passes, "core.metrics", "metrics", || CommMetrics::of(&assigned));
-    let schedule = step(tr, &mut passes, "core.schedule", "schedule", || {
-        schedule(&assigned, &placement, hw, schedule_options)
-    });
-    let result =
-        CompileResult { unrolled, placement, ir, aggregated, assigned, metrics, schedule, passes };
-    Ok((result, stats))
-}
-
-/// Runs one pipeline stage inside a span and records it as a pass report,
-/// as the pass manager does.
-fn step<R>(
-    tr: &mut Tracer,
-    passes: &mut Vec<PassReport>,
-    span: &'static str,
-    pass: &'static str,
-    f: impl FnOnce() -> R,
-) -> R {
-    tr.begin(span);
-    let out = f();
-    let duration = Duration::from_secs_f64(tr.end());
-    passes.push(PassReport { pass, duration, metric: None });
-    out
-}
-
-/// The placement report `compile_placed` returns after zero rounds.
-fn identity_report(result: &CompileResult, hw: &HardwareSpec) -> PlacementReport {
-    let graph = comm_weighted_graph(&result.aggregated);
-    let placement = &result.placement;
-    PlacementReport {
-        iterations: 0,
-        cut_weight: graph.cut_weight(placement.partition()),
-        weighted_cost: graph.placed_cut_weight(
-            placement.partition(),
-            placement.node_map(),
-            hw.topology(),
-        ),
-        node_map: placement.node_map().to_vec(),
-        initial_epr_cost: result.metrics.total_epr_cost,
-        final_epr_cost: result.metrics.total_epr_cost,
-        work: PlacementWork::default(),
-    }
+    let assigned = tr.span("core.assign", || assign_on(&aggregated, &placement, hw.topology()));
+    let metrics = tr.span("core.metrics", || CommMetrics::of(&assigned));
+    let schedule =
+        tr.span("core.schedule", || schedule(&assigned, &placement, hw, schedule_options));
+    Ok((Identity { metrics, schedule }, stats))
 }
