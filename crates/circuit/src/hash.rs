@@ -207,6 +207,21 @@ pub fn stream_content_hash(
     h.finish()
 }
 
+/// Content hash of raw bytes: the same two-stream hasher fed the length,
+/// then the bytes as little-endian 8-byte words (the last one
+/// zero-padded). The compile service keys its QASM memo and topology files
+/// with it.
+pub fn bytes_content_hash(bytes: &[u8]) -> ContentHash {
+    let mut h = ContentHasher::new();
+    h.absorb(bytes.len() as u64);
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h.absorb(u64::from_le_bytes(word));
+    }
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,6 +266,13 @@ mod tests {
         let mut p2 = Circuit::new(1);
         p2.push(Gate::rz(0.5000001, q(0))).unwrap();
         assert_ne!(circuit_content_hash(&p1), circuit_content_hash(&p2));
+    }
+
+    #[test]
+    fn bytes_hash_separates_padding_and_edits() {
+        assert_ne!(bytes_content_hash(b""), bytes_content_hash(b"\0"));
+        assert_ne!(bytes_content_hash(b"link 0 1\n"), bytes_content_hash(b"link 0 2\n"));
+        assert_eq!(bytes_content_hash(b"nodes 3"), bytes_content_hash(b"nodes 3"));
     }
 
     #[test]

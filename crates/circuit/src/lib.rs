@@ -68,7 +68,7 @@ pub use commute::{commutes, commutes_with_all, disjoint_supports};
 pub use dag::{ConflictScan, DependencyDag};
 pub use error::CircuitError;
 pub use gate::{Gate, GateKind};
-pub use hash::{circuit_content_hash, stream_content_hash, ContentHash};
+pub use hash::{bytes_content_hash, circuit_content_hash, stream_content_hash, ContentHash};
 pub use ids::{CBitId, NodeId, QubitId};
 pub use par::{par_map, worker_count, PAR_THRESHOLD};
 pub use partition::Partition;

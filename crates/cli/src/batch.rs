@@ -11,17 +11,14 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use autocomm::{Ablation, BufferPolicy};
-use dqc_circuit::{from_qasm, Circuit, CircuitStats};
+use dqc_circuit::{from_qasm, worker_count, Circuit};
 use dqc_hardware::{HardwareSpec, NetworkTopology};
 use dqc_workloads::{generate, smoke_suite};
 
 use crate::json::Json;
 use crate::pool::par_rows;
-use crate::{
-    build_partition, compiler_for, parse_buffer, parse_strategy, placement_config, CliError,
-    PartitionStrategy, USAGE,
-};
+use crate::request::{parse_flag, positive, unknown_option, Compiled};
+use crate::{CliError, CompileRequest, PartitionStrategy};
 
 /// Where a batch gets its programs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,20 +34,8 @@ pub enum BatchSource {
 pub struct BatchArgs {
     /// Input programs.
     pub source: BatchSource,
-    /// Number of hardware nodes every program is compiled for.
-    pub nodes: usize,
-    /// Communication qubits per node.
-    pub comm_qubits: usize,
-    /// Interconnect topology spec (name or file path); `None` = all-to-all.
-    pub topology: Option<String>,
-    /// Placement strategy.
-    pub strategy: PartitionStrategy,
-    /// Re-place + recompile rounds for `--placement topo` (default 3).
-    pub refine_iters: usize,
-    /// EPR buffering policy for the scheduler (`--buffer`).
-    pub buffer: BufferPolicy,
-    /// Ablations applied to every compile.
-    pub ablations: Vec<Ablation>,
+    /// The compile options every program is compiled with.
+    pub request: CompileRequest,
     /// Worker threads (defaults to available parallelism, capped at 8).
     pub jobs: usize,
     /// Emit JSON instead of the human-readable report.
@@ -58,9 +43,6 @@ pub struct BatchArgs {
     /// Add a `"timings"` object (per-pass wall-clock totals summed across
     /// every program) to the JSON report.
     pub timings: bool,
-    /// Whether the legacy `--partition` alias was used (one deprecation
-    /// warning per batch, not one per file).
-    pub legacy_partition_alias: bool,
 }
 
 impl BatchArgs {
@@ -71,88 +53,23 @@ impl BatchArgs {
     /// Returns [`CliError::Usage`] on unknown flags, malformed values, or a
     /// missing input/`--nodes`.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<BatchArgs, CliError> {
+        let mut request = CompileRequest::default();
         let mut dir: Option<PathBuf> = None;
-        let mut suite = false;
-        let mut nodes = None;
-        let mut comm_qubits = 2usize;
-        let mut topology = None;
-        let mut strategy = PartitionStrategy::Oee;
-        let mut refine_iters = 3usize;
-        let mut buffer = BufferPolicy::OnDemand;
-        let mut ablations = Vec::new();
-        let mut jobs = None;
-        let mut json = false;
-        let mut timings = false;
-        let mut legacy_partition_alias = false;
-
-        let usage = |msg: String| CliError::Usage(format!("{msg}\n\n{USAGE}"));
+        let (mut suite, mut jobs, mut json, mut timings) = (false, None, false, false);
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
-            let mut value_for =
-                |flag: &str| iter.next().ok_or_else(|| usage(format!("{flag} needs a value")));
+            if request.take_flag(&arg, &mut iter)? {
+                continue;
+            }
             match arg.as_str() {
                 "--suite" => suite = true,
-                "--nodes" => {
-                    let v = value_for("--nodes")?;
-                    nodes = Some(v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        usage(format!("--nodes: '{v}' is not a positive integer"))
-                    })?);
-                }
-                "--jobs" => {
-                    let v = value_for("--jobs")?;
-                    jobs = Some(v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        usage(format!("--jobs: '{v}' is not a positive integer"))
-                    })?);
-                }
-                "--comm-qubits" => {
-                    let v = value_for("--comm-qubits")?;
-                    comm_qubits = v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        usage(format!("--comm-qubits: '{v}' is not a positive integer"))
-                    })?;
-                }
-                "--topology" => topology = Some(value_for("--topology")?),
-                "--buffer" => {
-                    let v = value_for("--buffer")?;
-                    buffer = parse_buffer(&v).map_err(usage)?;
-                }
-                "--placement" | "--partition" => {
-                    let flag = arg.as_str();
-                    let v = value_for(flag)?;
-                    strategy = parse_strategy(flag, &v).map_err(usage)?;
-                    if flag == "--partition" {
-                        legacy_partition_alias = true;
-                    }
-                }
-                "--refine-iters" => {
-                    let v = value_for("--refine-iters")?;
-                    refine_iters = v.parse::<usize>().map_err(|_| {
-                        usage(format!("--refine-iters: '{v}' is not a non-negative integer"))
-                    })?;
-                }
-                "--ablation" => {
-                    let v = value_for("--ablation")?;
-                    for name in v.split(',').filter(|s| !s.is_empty()) {
-                        let ablation = Ablation::parse(name).ok_or_else(|| {
-                            let known: Vec<&str> =
-                                Ablation::all().iter().map(|a| a.name()).collect();
-                            usage(format!(
-                                "--ablation: unknown ablation '{name}' (expected one of {})",
-                                known.join(", ")
-                            ))
-                        })?;
-                        if !ablations.contains(&ablation) {
-                            ablations.push(ablation);
-                        }
-                    }
-                }
+                "--jobs" => jobs = Some(parse_flag("--jobs", &mut iter, positive)?),
                 "--json" => json = true,
                 "--timings" => timings = true,
-                flag if flag.starts_with('-') => {
-                    return Err(usage(format!("unknown option '{flag}'")));
-                }
+                flag if flag.starts_with('-') => return Err(unknown_option(flag)),
                 positional => {
                     if dir.replace(PathBuf::from(positional)).is_some() {
-                        return Err(usage(format!(
+                        return Err(CliError::Usage(format!(
                             "unexpected extra argument '{positional}' (one input directory expected)"
                         )));
                     }
@@ -160,35 +77,21 @@ impl BatchArgs {
             }
         }
 
+        let usage = |msg: &str| Err(CliError::Usage(msg.into()));
         let source = match (dir, suite) {
-            (Some(_), true) => {
-                return Err(usage("pass either an input directory or --suite, not both".into()))
-            }
+            (Some(_), true) => return usage("pass either an input directory or --suite, not both"),
             (Some(d), false) => BatchSource::Dir(d),
             (None, true) => BatchSource::Suite,
-            (None, false) => {
-                return Err(usage("missing input: a directory of .qasm files or --suite".into()))
-            }
+            (None, false) => return usage("missing input: a directory of .qasm files or --suite"),
         };
         Ok(BatchArgs {
             source,
-            nodes: nodes.ok_or_else(|| usage("missing required --nodes <N>".into()))?,
-            comm_qubits,
-            topology,
-            strategy,
-            refine_iters,
-            buffer,
-            ablations,
-            jobs: jobs.unwrap_or_else(default_jobs),
+            request: request.require_nodes()?,
+            jobs: jobs.unwrap_or_else(worker_count),
             json,
             timings,
-            legacy_partition_alias,
         })
     }
-}
-
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
 /// One program to compile.
@@ -290,29 +193,22 @@ pub struct BatchReport {
 /// files, an invalid `--topology`); per-entry compile failures land in
 /// their row instead.
 pub fn run_batch(args: BatchArgs) -> Result<BatchReport, CliError> {
-    if args.legacy_partition_alias {
-        // One warning per batch — never one per compiled file.
-        eprintln!(
-            "warning: --partition is a legacy alias of --placement and will be removed; \
-             use --placement {}",
-            args.strategy.name()
-        );
-    }
     let tasks = collect_tasks(&args)?;
     // Resolve the topology and validate the whole hardware configuration
     // once up front: a bad spec or an infeasible comm-qubit/topology
     // combination fails fast as one usage error instead of once per row,
     // and topology files are read from disk exactly once.
-    let topology = crate::resolve_topology(args.topology.as_deref(), args.nodes)?;
-    HardwareSpec::symmetric(args.nodes)
-        .with_comm_qubits(args.comm_qubits)
+    let request = &args.request;
+    let topology = crate::resolve_topology(request.topology.as_deref(), request.nodes)?;
+    HardwareSpec::symmetric(request.nodes)
+        .with_comm_qubits(request.comm_qubits)
         .and_then(|hw| hw.with_topology(topology.clone()))
-        .map_err(|e| CliError::Usage(format!("invalid hardware configuration: {e}\n\n{USAGE}")))?;
+        .map_err(|e| CliError::Usage(format!("invalid hardware configuration: {e}")))?;
     let started = Instant::now();
     let rows = par_rows(
         tasks.len(),
         args.jobs,
-        |i| compile_task(&tasks[i], &args, &topology),
+        |i| compile_task(&tasks[i], request, &topology),
         |i, msg| Err(format!("{}: compile panicked: {msg}", tasks[i].label())),
     )
     .into_iter()
@@ -348,7 +244,7 @@ fn collect_tasks(args: &BatchArgs) -> Result<Vec<BatchTask>, CliError> {
 
 fn compile_task(
     task: &BatchTask,
-    args: &BatchArgs,
+    request: &CompileRequest,
     topology: &NetworkTopology,
 ) -> Result<BatchRow, String> {
     let started = Instant::now();
@@ -357,26 +253,8 @@ fn compile_task(
     // workload tasks — prepended to `pass_ms` so the batch timing columns
     // cover the whole run like the single-compile `--timings` object.
     let parse_ms = started.elapsed().as_secs_f64() * 1e3;
-    if circuit.num_qubits() < args.nodes {
-        return Err(format!(
-            "cannot spread {} qubits over {} nodes",
-            circuit.num_qubits(),
-            args.nodes
-        ));
-    }
-    let partition =
-        build_partition(&circuit, args.nodes, args.strategy).map_err(|e| e.to_string())?;
-    // The configuration was validated once in `run_batch`; rebuilding the
-    // spec from the already-resolved topology cannot fail.
-    let hw = HardwareSpec::for_partition(&partition)
-        .with_comm_qubits(args.comm_qubits)
-        .and_then(|hw| hw.with_topology(topology.clone()))
-        .map_err(|e| e.to_string())?;
-    let config = placement_config(args.strategy, args.refine_iters);
-    let (result, placement) = compiler_for(&args.ablations, args.buffer)
-        .compile_placed(&circuit, &partition, &hw, &config)
-        .map_err(|e| e.to_string())?;
-    let stats = CircuitStats::of(&result.unrolled, Some(result.placement.partition()));
+    let Compiled { stats, placement, result, .. } =
+        request.compile(&circuit, || Ok(topology.clone())).map_err(|e| e.to_string())?;
     Ok(BatchRow {
         label: task.label(),
         qubits: circuit.num_qubits(),
@@ -453,6 +331,7 @@ impl BatchReport {
 
     /// The machine-readable form emitted under `--json`.
     pub fn to_json(&self) -> Json {
+        let request = &self.args.request;
         let totals = |f: fn(&BatchRow) -> f64| self.ok_rows().map(f).sum::<f64>();
         // `--timings` adds the per-pass wall-clock totals (summed across
         // every compiled program) as a flat pass-name -> milliseconds
@@ -467,18 +346,18 @@ impl BatchReport {
         });
         Json::object(
             [
-                ("nodes", Json::number(self.args.nodes as f64)),
+                ("nodes", Json::number(request.nodes as f64)),
                 ("jobs", Json::number(self.args.jobs as f64)),
                 (
                     "topology",
-                    Json::string(self.args.topology.clone().unwrap_or_else(|| "all-to-all".into())),
+                    Json::string(request.topology.clone().unwrap_or_else(|| "all-to-all".into())),
                 ),
-                ("placement", Json::string(self.args.strategy.name())),
-                ("refine_iters", Json::number(self.args.refine_iters as f64)),
+                ("placement", Json::string(request.strategy.name())),
+                ("refine_iters", Json::number(request.refine_iters as f64)),
                 (
                     "buffering",
                     Json::object([
-                        ("policy", Json::string(self.args.buffer.name())),
+                        ("policy", Json::string(request.buffer.name())),
                         (
                             "prefetch_hits",
                             Json::number(
@@ -575,11 +454,12 @@ impl BatchReport {
 
     /// The human-readable report.
     pub fn to_text(&self) -> String {
+        let request = &self.args.request;
         let mut out = String::new();
         out.push_str(&format!(
             "batch: {} program(s) over {} node(s), {} job(s)\n",
             self.rows.len(),
-            self.args.nodes,
+            request.nodes,
             self.args.jobs
         ));
         out.push_str(&format!(
@@ -612,23 +492,23 @@ impl BatchReport {
             "totals: {} comms for {} remote CX (EPR cost {}, {} EPR pairs scheduled, {} swaps)\n",
             comms, rem, cost, epr, swaps
         ));
-        if self.args.strategy == PartitionStrategy::Topo {
+        if request.strategy == PartitionStrategy::Topo {
             let iters: usize = self.ok_rows().map(|r| r.placement_iters).sum();
             out.push_str(&format!(
                 "placement: topo ({} refinement round(s) accepted across the batch)\n",
                 iters
             ));
         }
-        if self.args.buffer.is_buffered() {
+        if request.buffer.is_buffered() {
             let hits: usize = self.ok_rows().map(|r| r.prefetch_hits).sum();
             let requests: usize = self.ok_rows().map(|r| r.comm_requests).sum();
             let fallbacks = self.ok_rows().filter(|r| r.fell_back).count();
             out.push_str(&format!(
                 "buffering: {} ({hits}/{requests} prefetch hits, {fallbacks} fallback(s))\n",
-                self.args.buffer.name()
+                request.buffer.name()
             ));
         }
-        if self.args.topology.is_some() {
+        if request.topology.is_some() {
             let links: Vec<String> = self
                 .total_link_traffic()
                 .into_iter()
@@ -636,7 +516,7 @@ impl BatchReport {
                 .collect();
             out.push_str(&format!(
                 "link EPR traffic ({}): {}\n",
-                self.args.topology.as_deref().unwrap_or("all-to-all"),
+                request.topology.as_deref().unwrap_or("all-to-all"),
                 if links.is_empty() { "none".to_string() } else { links.join(" ") }
             ));
         }
@@ -673,7 +553,7 @@ mod tests {
     fn parses_suite_invocation() {
         let args = parse(&["--suite", "--nodes", "4", "--jobs", "4", "--json"]).unwrap();
         assert_eq!(args.source, BatchSource::Suite);
-        assert_eq!(args.nodes, 4);
+        assert_eq!(args.request.nodes, 4);
         assert_eq!(args.jobs, 4);
         assert!(args.json);
     }
@@ -682,25 +562,9 @@ mod tests {
     fn parses_directory_invocation_with_defaults() {
         let args = parse(&["bench/qasm", "--nodes", "2"]).unwrap();
         assert_eq!(args.source, BatchSource::Dir(PathBuf::from("bench/qasm")));
-        assert_eq!(args.comm_qubits, 2);
-        assert_eq!(args.strategy, PartitionStrategy::Oee);
+        assert_eq!(args.request, CompileRequest { nodes: 2, ..CompileRequest::default() });
         assert!(args.jobs >= 1);
         assert!(!args.json);
-    }
-
-    #[test]
-    fn rejects_bad_usage() {
-        for bad in [
-            &["--nodes", "2"][..],                   // no input
-            &["--suite"][..],                        // no nodes
-            &["dir", "--suite", "--nodes", "2"][..], // both inputs
-            &["dir", "extra", "--nodes", "2"][..],   // two dirs
-            &["--suite", "--nodes", "0"][..],        // zero nodes
-            &["--suite", "--nodes", "2", "--jobs", "0"][..],
-            &["--suite", "--nodes", "2", "--frob"][..],
-        ] {
-            assert!(matches!(parse(bad), Err(CliError::Usage(_))), "accepted: {bad:?}");
-        }
     }
 
     #[test]
@@ -806,17 +670,14 @@ mod tests {
         std::fs::write(dir.join("bad.qasm"), "qreg q[4];\nfrobnicate q[0];\n").unwrap();
         let args = BatchArgs {
             source: BatchSource::Dir(dir.clone()),
-            nodes: 2,
-            comm_qubits: 2,
-            topology: None,
-            strategy: PartitionStrategy::Block,
-            refine_iters: 3,
-            buffer: BufferPolicy::OnDemand,
-            ablations: Vec::new(),
+            request: CompileRequest {
+                nodes: 2,
+                strategy: PartitionStrategy::Block,
+                ..CompileRequest::default()
+            },
             jobs: 2,
             json: false,
             timings: false,
-            legacy_partition_alias: false,
         };
         let report = run_batch(args).unwrap();
         assert_eq!(report.rows.len(), 2);

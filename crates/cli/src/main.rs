@@ -16,11 +16,13 @@ use dqc_cli::serve::{
 };
 use dqc_cli::{compile, CliError, CompileArgs, USAGE};
 
-fn exit_code(result: Result<(), CliError>) -> ExitCode {
+/// The one error printer: usage errors get the usage text and exit 2,
+/// every other error exits 1.
+fn exit_code(result: Result<ExitCode, CliError>) -> ExitCode {
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(code) => code,
         Err(CliError::Usage(msg)) => {
-            eprintln!("{msg}");
+            eprintln!("{msg}\n\n{USAGE}");
             ExitCode::from(2)
         }
         Err(e) => {
@@ -32,62 +34,40 @@ fn exit_code(result: Result<(), CliError>) -> ExitCode {
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("compile") => match CompileArgs::parse(args).and_then(compile) {
-            Ok(report) => {
-                if report.args.json {
-                    println!("{}", report.to_json());
-                } else {
-                    print!("{}", report.to_text());
-                }
+    let done = |()| ExitCode::SUCCESS;
+    exit_code(match args.next().as_deref() {
+        Some("compile") => CompileArgs::parse(args).and_then(compile).map(|report| {
+            if report.args.json {
+                println!("{}", report.to_json());
+            } else {
+                print!("{}", report.to_text());
+            }
+            ExitCode::SUCCESS
+        }),
+        Some("batch") => BatchArgs::parse(args).and_then(run_batch).map(|report| {
+            if report.args.json {
+                println!("{}", report.to_json());
+            } else {
+                print!("{}", report.to_text());
+            }
+            if report.failures() == 0 {
                 ExitCode::SUCCESS
-            }
-            Err(CliError::Usage(msg)) => {
-                eprintln!("{msg}");
-                ExitCode::from(2)
-            }
-            Err(e) => {
-                eprintln!("autocomm: {e}");
+            } else {
                 ExitCode::FAILURE
             }
-        },
-        Some("batch") => match BatchArgs::parse(args).and_then(run_batch) {
-            Ok(report) => {
-                if report.args.json {
-                    println!("{}", report.to_json());
-                } else {
-                    print!("{}", report.to_text());
-                }
-                if report.failures() == 0 {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(CliError::Usage(msg)) => {
-                eprintln!("{msg}");
-                ExitCode::from(2)
-            }
-            Err(e) => {
-                eprintln!("autocomm: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("serve") => exit_code(ServeArgs::parse(args).and_then(run_serve)),
-        Some("submit") => exit_code(SubmitArgs::parse(args).and_then(|a| run_submit(&a))),
-        Some("stats") => exit_code(parse_addr(args).and_then(|a| run_stats(&a))),
-        Some("shutdown") => exit_code(parse_addr(args).and_then(|a| run_shutdown(&a))),
+        }),
+        Some("serve") => ServeArgs::parse(args).and_then(run_serve).map(done),
+        Some("submit") => SubmitArgs::parse(args).and_then(|a| run_submit(&a)).map(done),
+        Some("stats") => parse_addr(args).and_then(|a| run_stats(&a)).map(done),
+        Some("shutdown") => parse_addr(args).and_then(|a| run_shutdown(&a)).map(done),
         Some("help") | Some("--help") | Some("-h") => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Some(other) => {
-            eprintln!("autocomm: unknown command '{other}'\n\n{USAGE}");
-            ExitCode::from(2)
-        }
+        Some(other) => Err(CliError::Usage(format!("autocomm: unknown command '{other}'"))),
         None => {
             eprint!("{USAGE}");
-            ExitCode::from(2)
+            Ok(ExitCode::from(2))
         }
-    }
+    })
 }

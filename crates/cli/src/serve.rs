@@ -40,17 +40,16 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use autocomm::{Ablation, ArtifactCircuitStats, ArtifactConfig, CompiledArtifact};
-use dqc_circuit::{circuit_content_hash, from_qasm, Circuit, CircuitStats};
-use dqc_hardware::BufferPolicy;
+use autocomm::{ArtifactCircuitStats, CompiledArtifact};
+use dqc_circuit::{
+    bytes_content_hash, circuit_content_hash, from_qasm, worker_count, Circuit, ContentHash,
+};
 
 use crate::json::Json;
 use crate::pool::{catch_panic, WorkerPool};
+use crate::request::{flag_value, parse_flag, positive, unknown_option, Compiled, TopologySpec};
 use crate::sections::{artifact_json, latency_json, pass_latency_json};
-use crate::{
-    build_hardware, build_partition, compiler_for, parse_buffer, parse_strategy, placement_config,
-    CliError, PartitionStrategy, USAGE,
-};
+use crate::{CliError, CompileArgs, CompileRequest};
 
 /// Parsed `autocomm serve` invocation.
 #[derive(Clone, Debug)]
@@ -73,161 +72,27 @@ impl ServeArgs {
     ///
     /// Returns [`CliError::Usage`] on unknown flags or malformed values.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<ServeArgs, CliError> {
-        let usage = |msg: String| CliError::Usage(format!("{msg}\n\n{USAGE}"));
-        let mut port = 7878u16;
-        let mut workers = default_workers();
-        let mut cache_capacity = 256usize;
-        let mut port_file = None;
+        let mut parsed =
+            ServeArgs { port: 7878, workers: worker_count(), cache_capacity: 256, port_file: None };
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
-            let mut value_for =
-                |flag: &str| iter.next().ok_or_else(|| usage(format!("{flag} needs a value")));
             match arg.as_str() {
                 "--port" => {
-                    let v = value_for("--port")?;
-                    port = v
-                        .parse::<u16>()
-                        .map_err(|_| usage(format!("--port: '{v}' is not a port number")))?;
+                    parsed.port = parse_flag("--port", &mut iter, |v| {
+                        v.parse::<u16>().map_err(|_| format!("'{v}' is not a port number"))
+                    })?;
                 }
-                "--jobs" => {
-                    let v = value_for("--jobs")?;
-                    workers =
-                        v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                            usage(format!("--jobs: '{v}' is not a positive integer"))
-                        })?;
-                }
+                "--jobs" => parsed.workers = parse_flag("--jobs", &mut iter, positive)?,
                 "--cache-cap" => {
-                    let v = value_for("--cache-cap")?;
-                    cache_capacity =
-                        v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                            usage(format!("--cache-cap: '{v}' is not a positive integer"))
-                        })?;
+                    parsed.cache_capacity = parse_flag("--cache-cap", &mut iter, positive)?
                 }
-                "--port-file" => port_file = Some(PathBuf::from(value_for("--port-file")?)),
-                other => return Err(usage(format!("unknown option '{other}'"))),
-            }
-        }
-        Ok(ServeArgs { port, workers, cache_capacity, port_file })
-    }
-}
-
-fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
-}
-
-/// One fully-specified compile job, as decoded from a request line.
-#[derive(Clone, Debug)]
-struct JobSpec {
-    qasm: String,
-    nodes: usize,
-    comm_qubits: usize,
-    topology: Option<String>,
-    strategy: PartitionStrategy,
-    refine_iters: usize,
-    buffer: BufferPolicy,
-    ablations: Vec<Ablation>,
-    verbose: bool,
-}
-
-impl JobSpec {
-    fn from_request(req: &Json) -> Result<JobSpec, String> {
-        let qasm = req
-            .get("qasm")
-            .and_then(Json::as_str)
-            .ok_or("compile request needs a 'qasm' string")?
-            .to_string();
-        let nodes =
-            usize_field(req, "nodes", None)?.ok_or("compile request needs a 'nodes' count")?;
-        if nodes == 0 {
-            return Err("'nodes' must be positive".to_string());
-        }
-        let comm_qubits = usize_field(req, "comm_qubits", Some(2))?.unwrap_or(2);
-        let topology = match req.get("topology") {
-            None | Some(Json::Null) => None,
-            Some(t) => Some(t.as_str().ok_or("'topology' must be a string")?.to_string()),
-        };
-        let strategy = match req.get("placement") {
-            None => PartitionStrategy::Oee,
-            Some(s) => {
-                let name = s.as_str().ok_or("'placement' must be a string")?;
-                parse_strategy("--placement", name)?
-            }
-        };
-        let refine_iters = usize_field(req, "refine_iters", Some(3))?.unwrap_or(3);
-        let buffer = match req.get("buffer") {
-            None => BufferPolicy::OnDemand,
-            Some(b) => parse_buffer(b.as_str().ok_or("'buffer' must be a string")?)?,
-        };
-        let mut ablations = Vec::new();
-        if let Some(list) = req.get("ablations") {
-            let Json::Array(items) = list else {
-                return Err("'ablations' must be an array of strings".to_string());
-            };
-            for item in items {
-                let name = item.as_str().ok_or("'ablations' must be an array of strings")?;
-                let ablation =
-                    Ablation::parse(name).ok_or_else(|| format!("unknown ablation '{name}'"))?;
-                if !ablations.contains(&ablation) {
-                    ablations.push(ablation);
+                "--port-file" => {
+                    parsed.port_file = Some(flag_value("--port-file", &mut iter)?.into());
                 }
+                other => return Err(unknown_option(other)),
             }
         }
-        let verbose = req.get("verbose").and_then(Json::as_bool).unwrap_or(false);
-        Ok(JobSpec {
-            qasm,
-            nodes,
-            comm_qubits,
-            topology,
-            strategy,
-            refine_iters,
-            buffer,
-            ablations,
-            verbose,
-        })
-    }
-
-    /// The content-addressed cache key: circuit hash + every flag that
-    /// changes compilation output. Label-free, so identical submissions
-    /// always coalesce. (The serving path goes through the QASM memo and
-    /// [`JobSpec::keyed`]; this parse-first spelling is the test oracle.)
-    #[cfg(test)]
-    fn cache_key(&self, circuit: &Circuit) -> String {
-        self.keyed(&circuit_content_hash(circuit).to_string())
-    }
-
-    /// [`JobSpec::cache_key`] with the circuit-hash half already known —
-    /// the warm path, where the hash comes from the QASM memo and the
-    /// circuit is never parsed.
-    fn keyed(&self, circuit_hash: &str) -> String {
-        let ablations = if self.ablations.is_empty() {
-            "-".to_string()
-        } else {
-            self.ablations.iter().map(|a| a.name()).collect::<Vec<_>>().join("+")
-        };
-        format!(
-            "{}:{}n:{}c:{}:{}:r{}:{}:{}",
-            circuit_hash,
-            self.nodes,
-            self.comm_qubits,
-            self.topology.as_deref().unwrap_or("all-to-all"),
-            self.strategy.name(),
-            self.refine_iters,
-            self.buffer.name(),
-            ablations
-        )
-    }
-}
-
-fn usize_field(req: &Json, key: &str, default: Option<usize>) -> Result<Option<usize>, String> {
-    match req.get(key) {
-        None => Ok(default),
-        Some(v) => {
-            let n = v.as_f64().ok_or_else(|| format!("'{key}' must be a number"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!("'{key}' must be a non-negative integer"));
-            }
-            Ok(Some(n as usize))
-        }
+        Ok(parsed)
     }
 }
 
@@ -384,20 +249,6 @@ fn touch(order: &mut Vec<String>, key: &str) {
     order.push(key.to_string());
 }
 
-/// 128-bit FNV-1a over raw bytes — the QASM-memo key (same hash family
-/// the circuit content hash uses; collisions are negligible at either
-/// width).
-fn fnv128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
 /// Bounded memo from raw QASM bytes to the circuit content hash.
 ///
 /// Computing a cache key means hashing the *parsed* circuit, and at the
@@ -408,7 +259,7 @@ fn fnv128(bytes: &[u8]) -> u128 {
 /// key through the parse path.
 struct HashMemo {
     capacity: usize,
-    map: Mutex<HashMap<u128, String>>,
+    map: Mutex<HashMap<ContentHash, String>>,
 }
 
 impl HashMemo {
@@ -418,7 +269,7 @@ impl HashMemo {
 
     fn get(&self, qasm: &str) -> Option<String> {
         let map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        map.get(&fnv128(qasm.as_bytes())).cloned()
+        map.get(&bytes_content_hash(qasm.as_bytes())).cloned()
     }
 
     fn insert(&self, qasm: &str, circuit_hash: String) {
@@ -428,7 +279,7 @@ impl HashMemo {
             // small string each, and a refill costs one parse per job.
             map.clear();
         }
-        map.insert(fnv128(qasm.as_bytes()), circuit_hash);
+        map.insert(bytes_content_hash(qasm.as_bytes()), circuit_hash);
     }
 }
 
@@ -478,46 +329,23 @@ impl ServiceState {
 /// the service latency log covers the whole front end.
 fn compile_entry(
     circuit: &Circuit,
-    spec: &JobSpec,
+    request: &CompileRequest,
+    topology: &TopologySpec,
     key: &str,
     parse_ms: f64,
 ) -> Result<CacheEntry, String> {
     let started = Instant::now();
-    if circuit.num_qubits() < spec.nodes {
-        return Err(format!(
-            "cannot spread {} qubits over {} nodes",
-            circuit.num_qubits(),
-            spec.nodes
-        ));
-    }
-    let partition =
-        build_partition(circuit, spec.nodes, spec.strategy).map_err(|e| e.to_string())?;
-    let hw = build_hardware(&partition, spec.comm_qubits, spec.topology.as_deref())
-        .map_err(|e| e.to_string())?;
-    let config = placement_config(spec.strategy, spec.refine_iters);
-    let (result, placement) = compiler_for(&spec.ablations, spec.buffer)
-        .compile_placed(circuit, &partition, &hw, &config)
-        .map_err(|e| e.to_string())?;
-    let final_partition = result.placement.partition().clone();
-    let stats = CircuitStats::of(&result.unrolled, Some(&final_partition));
+    let Compiled { stats, hardware, placement, result } =
+        request.compile(circuit, || topology.build(request.nodes)).map_err(|e| e.to_string())?;
     let artifact = CompiledArtifact::capture(
-        ArtifactConfig {
-            key: key.to_string(),
-            nodes: spec.nodes,
-            comm_qubits: spec.comm_qubits,
-            strategy: spec.strategy.name().to_string(),
-            refine_iters: spec.refine_iters,
-            buffer: spec.buffer,
-            ablations: spec.ablations.clone(),
-            ..ArtifactConfig::default()
-        },
+        request.artifact_config(key.to_string()),
         ArtifactCircuitStats {
-            qubits: final_partition.num_qubits(),
+            qubits: result.placement.partition().num_qubits(),
             gates: stats.num_gates,
             two_qubit_gates: stats.num_2q,
             remote_cx: stats.num_remote_2q,
         },
-        &hw,
+        &hardware,
         &placement,
         &result,
     );
@@ -541,65 +369,77 @@ fn error_response(message: &str) -> String {
         .to_string()
 }
 
+/// Parses a request's QASM, timing the parse in milliseconds.
+fn parse_qasm(qasm: &str) -> Result<(Circuit, f64), String> {
+    let started = Instant::now();
+    let circuit = from_qasm(qasm).map_err(|e| format!("qasm: {e}"))?;
+    Ok((circuit, started.elapsed().as_secs_f64() * 1e3))
+}
+
+/// Decodes a `compile` request: its inline QASM, the compile options, and
+/// whether the reply carries the per-request `service` object.
+pub(crate) fn decode_compile(req: &Json) -> Result<(&str, CompileRequest, bool), String> {
+    let qasm =
+        req.get("qasm").and_then(Json::as_str).ok_or("compile request needs a 'qasm' string")?;
+    let request = CompileRequest::from_json(req)?;
+    Ok((qasm, request, req.get("verbose").and_then(Json::as_bool).unwrap_or(false)))
+}
+
 /// Handles one `compile` request end to end on the connection thread:
-/// parse → hash → cache lookup → (enqueue and) wait → respond.
+/// decode → hash → cache lookup → (enqueue and) wait → respond.
 fn handle_compile(state: &Arc<ServiceState>, req: &Json) -> String {
     let started = Instant::now();
-    let spec = match JobSpec::from_request(req) {
-        Ok(spec) => spec,
+    let (qasm, request, verbose) = match decode_compile(req) {
+        Ok(decoded) => decoded,
         Err(msg) => return error_response(&msg),
     };
     // Warm fast path: a memoized QASM text yields the content hash (and
     // so the cache key) without parsing the circuit at all.
-    let mut parse_ms = 0.0f64;
-    let (key, mut circuit) = match state.hash_memo.get(&spec.qasm) {
-        Some(hash) => (spec.keyed(&hash), None),
+    let (hash, parsed) = match state.hash_memo.get(qasm) {
+        Some(hash) => (hash, None),
         None => {
-            let parse_start = Instant::now();
-            let circuit = match from_qasm(&spec.qasm) {
-                Ok(c) => c,
-                Err(e) => return error_response(&format!("qasm: {e}")),
+            let (circuit, parse_ms) = match parse_qasm(qasm) {
+                Ok(parsed) => parsed,
+                Err(msg) => return error_response(&msg),
             };
-            parse_ms = parse_start.elapsed().as_secs_f64() * 1e3;
             let hash = circuit_content_hash(&circuit).to_string();
-            state.hash_memo.insert(&spec.qasm, hash.clone());
-            (spec.keyed(&hash), Some(circuit))
+            state.hash_memo.insert(qasm, hash.clone());
+            (hash, Some((circuit, parse_ms)))
         }
     };
+    // A topology file is read once, here: its key is a hash of exactly the
+    // text the compile will use. Named specs are keyed by their text and
+    // only built by the compile, off the hit path.
+    let topology = match TopologySpec::read(request.topology.as_deref()) {
+        Ok(spec) => spec,
+        Err(e) => return error_response(&e.to_string()),
+    };
+    let key = request.cache_key(&hash, &topology.key());
     let (outcome, waited) = match state.cache.begin(&key) {
         Lookup::Hit(entry) => ("hit", Ok(entry)),
         Lookup::Coalesce(flight) => ("coalesced", flight.wait()),
         Lookup::Begin(flight) => {
             // Memo hit but cache miss (evicted entry, or the same circuit
             // under new flags): parse now — the compile needs the circuit.
-            let circuit = match circuit.take() {
-                Some(c) => c,
-                None => {
-                    let parse_start = Instant::now();
-                    match from_qasm(&spec.qasm) {
-                        Ok(c) => {
-                            parse_ms = parse_start.elapsed().as_secs_f64() * 1e3;
-                            c
-                        }
-                        Err(e) => {
-                            let msg = format!("qasm: {e}");
-                            state.cache.complete(&key, Err(msg.clone()));
-                            return error_response(&msg);
-                        }
-                    }
+            let (circuit, parse_ms) = match parsed.map_or_else(|| parse_qasm(qasm), Ok) {
+                Ok(parsed) => parsed,
+                Err(msg) => {
+                    state.cache.complete(&key, Err(msg.clone()));
+                    return error_response(&msg);
                 }
             };
             state.queue_depth.fetch_add(1, Ordering::SeqCst);
             let job_state = Arc::clone(state);
-            let job_spec = spec.clone();
             let job_key = key.clone();
             state.pool.execute(move || {
                 // `catch_panic` (not just the pool's own hardening)
                 // guarantees the flight completes even if the compile
                 // panics — a hung flight would deadlock every coalesced
                 // waiter.
-                let result = catch_panic(|| compile_entry(&circuit, &job_spec, &job_key, parse_ms))
-                    .unwrap_or_else(|msg| Err(format!("compile panicked: {msg}")));
+                let result = catch_panic(|| {
+                    compile_entry(&circuit, &request, &topology, &job_key, parse_ms)
+                })
+                .unwrap_or_else(|msg| Err(format!("compile panicked: {msg}")));
                 job_state.cache.complete(&job_key, result);
                 job_state.queue_depth.fetch_sub(1, Ordering::SeqCst);
             });
@@ -619,7 +459,7 @@ fn handle_compile(state: &Arc<ServiceState>, req: &Json) -> String {
         }
         log.e2e_ms.push(e2e_ms);
     }
-    if !spec.verbose {
+    if !verbose {
         return entry.response.clone();
     }
     // Per-request service metadata is opt-in and spliced *around* the
@@ -830,12 +670,12 @@ pub struct SubmitArgs {
     /// Per-request service metadata in the response (`--verbose`).
     pub verbose: bool,
     /// The compile job itself (same flags as `autocomm compile`).
-    pub compile: crate::CompileArgs,
+    pub compile: CompileArgs,
 }
 
 impl SubmitArgs {
     /// Parses the arguments following the `submit` subcommand: `--addr`
-    /// and `--verbose` here, everything else via [`crate::CompileArgs`].
+    /// and `--verbose` here, everything else via [`CompileArgs`].
     ///
     /// # Errors
     ///
@@ -847,16 +687,12 @@ impl SubmitArgs {
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
-                "--addr" => {
-                    addr = iter.next().ok_or_else(|| {
-                        CliError::Usage(format!("--addr needs a value\n\n{USAGE}"))
-                    })?;
-                }
+                "--addr" => addr = flag_value("--addr", &mut iter)?,
                 "--verbose" => verbose = true,
                 _ => rest.push(arg),
             }
         }
-        Ok(SubmitArgs { addr, verbose, compile: crate::CompileArgs::parse(rest)? })
+        Ok(SubmitArgs { addr, verbose, compile: CompileArgs::parse(rest)? })
     }
 
     /// The request line for this job (everything inline; the daemon never
@@ -866,24 +702,12 @@ impl SubmitArgs {
     ///
     /// [`CliError::Io`] when the QASM file cannot be read.
     pub fn request_line(&self) -> Result<String, CliError> {
-        let c = &self.compile;
-        let qasm = std::fs::read_to_string(&c.file).map_err(|e| CliError::Io(c.file.clone(), e))?;
-        let mut fields = vec![
-            ("op", Json::string("compile")),
-            ("qasm", Json::string(qasm)),
-            ("nodes", Json::number(c.nodes as f64)),
-            ("comm_qubits", Json::number(c.comm_qubits as f64)),
-        ];
-        if let Some(topology) = &c.topology {
-            fields.push(("topology", Json::string(topology.clone())));
-        }
-        fields.push(("placement", Json::string(c.strategy.name())));
-        fields.push(("refine_iters", Json::number(c.refine_iters as f64)));
-        fields.push(("buffer", Json::string(c.buffer.name())));
-        fields.push(("ablations", Json::array(c.ablations.iter().map(|a| Json::string(a.name())))));
-        if self.verbose {
-            fields.push(("verbose", Json::Bool(true)));
-        }
+        let file = &self.compile.file;
+        let qasm = std::fs::read_to_string(file).map_err(|e| CliError::Io(file.clone(), e))?;
+        let fields = [("op", Json::string("compile")), ("qasm", Json::string(qasm))]
+            .into_iter()
+            .chain(self.compile.request.json_fields())
+            .chain(self.verbose.then_some(("verbose", Json::Bool(true))));
         Ok(Json::object(fields).to_string())
     }
 }
@@ -975,14 +799,8 @@ pub fn parse_addr<I: IntoIterator<Item = String>>(args: I) -> Result<String, Cli
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--addr" => {
-                addr = iter
-                    .next()
-                    .ok_or_else(|| CliError::Usage(format!("--addr needs a value\n\n{USAGE}")))?;
-            }
-            other => {
-                return Err(CliError::Usage(format!("unknown option '{other}'\n\n{USAGE}")));
-            }
+            "--addr" => addr = flag_value("--addr", &mut iter)?,
+            other => return Err(unknown_option(other)),
         }
     }
     Ok(addr)
@@ -1090,39 +908,18 @@ mod tests {
     }
 
     #[test]
-    fn job_spec_parses_defaults_and_rejects_garbage() {
-        let req = Json::parse(r#"{"op":"compile","qasm":"qreg q[4];","nodes":2}"#).unwrap();
-        let spec = JobSpec::from_request(&req).unwrap();
-        assert_eq!(spec.nodes, 2);
-        assert_eq!(spec.comm_qubits, 2);
-        assert_eq!(spec.strategy, PartitionStrategy::Oee);
-        assert_eq!(spec.refine_iters, 3);
-        assert_eq!(spec.buffer, BufferPolicy::OnDemand);
-        assert!(spec.ablations.is_empty());
-        assert!(!spec.verbose);
-
-        for bad in [
-            r#"{"op":"compile","nodes":2}"#,
-            r#"{"op":"compile","qasm":"x","nodes":0}"#,
-            r#"{"op":"compile","qasm":"x"}"#,
-            r#"{"op":"compile","qasm":"x","nodes":2,"placement":"mystery"}"#,
-            r#"{"op":"compile","qasm":"x","nodes":2,"ablations":["nope"]}"#,
-            r#"{"op":"compile","qasm":"x","nodes":2.5}"#,
-        ] {
-            let req = Json::parse(bad).unwrap();
-            assert!(JobSpec::from_request(&req).is_err(), "accepted: {bad}");
-        }
-    }
-
-    #[test]
     fn cache_key_separates_every_flag_and_ignores_labels() {
         let base = Json::parse(r#"{"op":"compile","qasm":"qreg q[4];\ncx q[0], q[2];","nodes":2}"#)
             .unwrap();
-        let spec = JobSpec::from_request(&base).unwrap();
-        let circuit = from_qasm(&spec.qasm).unwrap();
-        let key = spec.cache_key(&circuit);
+        let circuit = from_qasm("qreg q[4];\ncx q[0], q[2];").unwrap();
+        let key_of = |req: &Json, circuit: &Circuit| {
+            let request = CompileRequest::from_json(req).unwrap();
+            let topology = TopologySpec::read(request.topology.as_deref()).unwrap();
+            request.cache_key(&circuit_content_hash(circuit).to_string(), &topology.key())
+        };
+        let key = key_of(&base, &circuit);
         // Same job → same key.
-        assert_eq!(JobSpec::from_request(&base).unwrap().cache_key(&circuit), key);
+        assert_eq!(key_of(&base, &circuit), key);
         // Any flag change → different key.
         let with_field = |key: &str, value: Json| {
             let mut req = base.clone();
@@ -1143,12 +940,138 @@ mod tests {
             ("buffer", Json::string("prefetch:4")),
             ("ablations", Json::array([Json::string("cat-only")])),
         ] {
-            let other = JobSpec::from_request(&with_field(field, value)).unwrap();
-            assert_ne!(other.cache_key(&circuit), key, "{field} ignored by key");
+            assert_ne!(key_of(&with_field(field, value), &circuit), key, "{field} ignored by key");
         }
         // A different circuit with the same flags → different key.
         let other = from_qasm("qreg q[4];\ncx q[1], q[2];").unwrap();
-        assert_ne!(spec.cache_key(&other), key);
+        assert_ne!(key_of(&base, &other), key);
+    }
+
+    /// An in-process daemon on an ephemeral port, shut down on drop.
+    struct TestDaemon {
+        addr: String,
+        server: Option<std::thread::JoinHandle<Result<(), CliError>>>,
+    }
+
+    impl TestDaemon {
+        fn start() -> TestDaemon {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let args = ServeArgs { port: 0, workers: 2, cache_capacity: 8, port_file: None };
+            let server = Some(std::thread::spawn(move || serve_on(listener, args)));
+            TestDaemon { addr, server }
+        }
+
+        fn send(&self, request: &Json) -> Json {
+            Json::parse(&roundtrip(&self.addr, &request.to_string()).unwrap()).unwrap()
+        }
+
+        /// Stops the daemon, checks that it exited cleanly, and returns
+        /// its reply to the shutdown request.
+        fn shutdown(mut self) -> String {
+            let bye = roundtrip(&self.addr, "{\"op\":\"shutdown\"}").unwrap();
+            self.server.take().unwrap().join().unwrap().unwrap();
+            bye
+        }
+    }
+
+    impl Drop for TestDaemon {
+        fn drop(&mut self) {
+            if let Some(server) = self.server.take() {
+                let _ = roundtrip(&self.addr, "{\"op\":\"shutdown\"}");
+                let _ = server.join();
+            }
+        }
+    }
+
+    fn compile_request(qasm: &str, fields: &[(&str, Json)]) -> Json {
+        Json::object(
+            [("op", Json::string("compile")), ("qasm", Json::string(qasm))]
+                .into_iter()
+                .chain(fields.iter().cloned()),
+        )
+    }
+
+    #[test]
+    fn service_errors_are_short_and_carry_no_usage_text() {
+        let daemon = TestDaemon::start();
+        let qasm = "qreg q[6];\ncx q[0], q[5];";
+        for (fields, expect) in [
+            (vec![("topology", Json::string("moebius"))], "unknown topology"),
+            (vec![("comm_qubits", Json::number(0.0))], "'comm_qubits'"),
+            (
+                vec![("topology", Json::string("linear")), ("comm_qubits", Json::number(1.0))],
+                "communication qubits",
+            ),
+        ] {
+            let fields: Vec<_> = fields.into_iter().chain([("nodes", Json::number(3.0))]).collect();
+            let reply = daemon.send(&compile_request(qasm, &fields));
+            assert_eq!(reply.get("status").and_then(Json::as_str), Some("error"), "{reply}");
+            let message = reply.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains(expect), "{message}");
+            assert!(!message.contains("USAGE:"), "usage text leaked: {message}");
+            assert!(message.len() < 200, "{} bytes: {message}", message.len());
+        }
+        // The zero comm-qubit budget was rejected when decoded; the bad
+        // topology name and the hardware check were compiled and failed.
+        let stats = daemon.send(&Json::object([("op", Json::string("stats"))]));
+        let misses = stats.get("stats").and_then(|s| s.get("cache_misses")).and_then(Json::as_f64);
+        assert_eq!(misses, Some(2.0), "{stats}");
+    }
+
+    /// A node count far above the qubit count is refused by the cheap
+    /// qubits-vs-nodes check before any topology is built or checked: the
+    /// mismatched grid and topology file would report their own errors if
+    /// they were built first.
+    #[test]
+    fn oversized_node_counts_fail_before_any_topology_is_built() {
+        let path =
+            std::env::temp_dir().join(format!("autocomm-serve-big-{}.txt", std::process::id()));
+        std::fs::write(&path, "nodes 3\nlink 0 1\nlink 1 2\n").unwrap();
+        let daemon = TestDaemon::start();
+        for topology in ["grid:2x2", &path.display().to_string()] {
+            let request = compile_request(
+                "qreg q[2];\ncx q[0], q[1];",
+                &[("nodes", Json::number(100_000.0)), ("topology", Json::string(topology))],
+            );
+            let reply = daemon.send(&request);
+            let message = reply.get("message").and_then(Json::as_str);
+            assert_eq!(message, Some("cannot spread 2 qubits over 100000 nodes"), "{reply}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn edited_topology_file_is_a_new_cache_key() {
+        let path =
+            std::env::temp_dir().join(format!("autocomm-serve-topo-{}.txt", std::process::id()));
+        std::fs::write(&path, "nodes 3\nlink 0 1\nlink 1 2\n").unwrap();
+        let daemon = TestDaemon::start();
+        let request = compile_request(
+            "qreg q[6];\ncx q[0], q[5];\ncx q[1], q[4];\ncx q[0], q[3];",
+            &[
+                ("nodes", Json::number(3.0)),
+                ("topology", Json::string(path.display().to_string())),
+                ("placement", Json::string("block")),
+                ("verbose", Json::Bool(true)),
+            ],
+        );
+        let links = |reply: &Json| {
+            reply
+                .get("artifact")
+                .and_then(|a| a.get("topology"))
+                .and_then(|t| t.get("links"))
+                .and_then(Json::as_f64)
+        };
+        let first = daemon.send(&request);
+        assert_eq!(links(&first), Some(2.0), "{first}");
+        std::fs::write(&path, "nodes 3\nlink 0 1\nlink 1 2\nlink 0 2\n").unwrap();
+        let second = daemon.send(&request);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(links(&second), Some(3.0), "stale artifact after the edit: {second}");
+        let cache = second.get("service").and_then(|s| s.get("cache")).and_then(Json::as_str);
+        assert_eq!(cache, Some("miss"), "{second}");
+        assert_ne!(first.get("key"), second.get("key"));
     }
 
     /// Full in-process service loop: serve on an ephemeral port, submit
@@ -1156,19 +1079,16 @@ mod tests {
     /// hit counter, then shut down cleanly.
     #[test]
     fn service_answers_warm_hits_byte_identically() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let args = ServeArgs { port: 0, workers: 2, cache_capacity: 8, port_file: None };
-        let server = std::thread::spawn(move || serve_on(listener, args));
-
+        let daemon = TestDaemon::start();
+        let addr = &daemon.addr;
         let request = r#"{"op":"compile","qasm":"qreg q[4];\nh q[0];\ncx q[0], q[2];\ncx q[0], q[3];","nodes":2}"#;
-        let cold = roundtrip(&addr, request).unwrap();
+        let cold = roundtrip(addr, request).unwrap();
         assert!(cold.contains("\"status\":\"ok\""), "{cold}");
         assert!(cold.contains("\"artifact\""), "{cold}");
-        let warm = roundtrip(&addr, request).unwrap();
+        let warm = roundtrip(addr, request).unwrap();
         assert_eq!(warm, cold, "cache hit must be byte-identical");
 
-        let stats = roundtrip(&addr, "{\"op\":\"stats\"}").unwrap();
+        let stats = roundtrip(addr, "{\"op\":\"stats\"}").unwrap();
         let parsed = Json::parse(&stats).unwrap();
         let stat =
             |k: &str| parsed.get("stats").and_then(|s| s.get(k)).and_then(Json::as_f64).unwrap();
@@ -1193,7 +1113,7 @@ mod tests {
         let key =
             Json::parse(&cold).unwrap().get("key").and_then(Json::as_str).unwrap().to_string();
         let fetched = roundtrip(
-            &addr,
+            addr,
             &Json::object([("op", Json::string("artifact")), ("key", Json::string(key))])
                 .to_string(),
         )
@@ -1207,8 +1127,7 @@ mod tests {
         let artifact = CompiledArtifact::from_text(&text).unwrap();
         assert_eq!(artifact.to_text(), text);
 
-        let bye = roundtrip(&addr, "{\"op\":\"shutdown\"}").unwrap();
+        let bye = daemon.shutdown();
         assert!(bye.contains("\"shutdown\":true"), "{bye}");
-        server.join().unwrap().unwrap();
     }
 }
