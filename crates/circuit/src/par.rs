@@ -12,6 +12,7 @@
 //! the front end (parse/unroll) and the core passes share one threshold
 //! and one fork-join implementation; `autocomm` re-exports both.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 
 /// Minimum number of items before forking threads pays for itself; below
@@ -21,11 +22,31 @@ use std::num::NonZeroUsize;
 /// `autocomm::PAR_THRESHOLD` — call sites must not repeat the literal.
 pub const PAR_THRESHOLD: usize = 4096;
 
+thread_local! {
+    static JOB_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Number of worker threads `par_map` forks: the machine's available
 /// parallelism, capped at 8 (the fan-out stops paying past that on the
-/// memory-bound compile stages).
+/// memory-bound compile stages), or 1 on a thread marked by
+/// [`mark_job_worker`].
 pub fn worker_count() -> usize {
+    if JOB_WORKER.with(Cell::get) {
+        return 1;
+    }
     std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1).min(8)
+}
+
+/// Marks the calling thread as a worker of a job-level pool, such as the
+/// `serve` daemon's compile workers and connection handlers: from then on
+/// [`worker_count`] is 1 on it, so every fan-out sized by it (`par_map`,
+/// the chunked parse, the parallel unroll) runs on the thread itself. The
+/// pool already spreads whole jobs over the cores, so nested fan-out only
+/// oversubscribes them, and every thread it forks may take a malloc arena
+/// of its own that keeps its freed memory. The output is the same either
+/// way.
+pub fn mark_job_worker() {
+    JOB_WORKER.with(|w| w.set(true));
 }
 
 /// Maps `f` over `items`, forking onto scoped threads when the slice is
@@ -71,6 +92,24 @@ mod tests {
         let items: Vec<usize> = (0..3 * PAR_THRESHOLD + 17).collect();
         let expected: Vec<usize> = items.iter().map(|&x| x.wrapping_mul(31) ^ 7).collect();
         assert_eq!(par_map(&items, |&x| x.wrapping_mul(31) ^ 7), expected);
+    }
+
+    #[test]
+    fn job_workers_map_on_their_own_thread() {
+        let items: Vec<usize> = (0..2 * PAR_THRESHOLD).collect();
+        let expected: Vec<usize> = items.iter().map(|&x| x + 1).collect();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                mark_job_worker();
+                assert_eq!(worker_count(), 1);
+                let caller = std::thread::current().id();
+                let out = par_map(&items, |&x| {
+                    assert_eq!(std::thread::current().id(), caller, "forked a thread");
+                    x + 1
+                });
+                assert_eq!(out, expected);
+            });
+        });
     }
 
     #[test]

@@ -42,7 +42,8 @@ use std::time::{Duration, Instant};
 
 use autocomm::{ArtifactCircuitStats, CompiledArtifact};
 use dqc_circuit::{
-    bytes_content_hash, circuit_content_hash, from_qasm, worker_count, Circuit, ContentHash,
+    bytes_content_hash, circuit_content_hash, from_qasm, mark_job_worker, worker_count, Circuit,
+    ContentHash,
 };
 
 use crate::json::Json;
@@ -139,7 +140,8 @@ impl Flight {
 
 enum Slot {
     InFlight(Arc<Flight>),
-    Ready(Arc<CacheEntry>),
+    /// A cached compile and the use tick of its last hit or insert.
+    Ready(Arc<CacheEntry>, u64),
 }
 
 enum Lookup {
@@ -155,11 +157,22 @@ enum Lookup {
 #[derive(Default)]
 struct CacheInner {
     map: HashMap<String, Slot>,
-    /// Ready keys, least-recently-used first.
-    order: Vec<String>,
+    /// The use clock: bumped on every lookup and insert, so the ready
+    /// entry with the smallest tick is the least recently used.
+    tick: u64,
     hits: usize,
     misses: usize,
     coalesced: usize,
+}
+
+impl CacheInner {
+    /// The ready entries' use ticks and keys.
+    fn ready(&self) -> impl Iterator<Item = (u64, &String)> {
+        self.map.iter().filter_map(|(key, slot)| match slot {
+            Slot::Ready(_, used) => Some((*used, key)),
+            Slot::InFlight(_) => None,
+        })
+    }
 }
 
 /// Bounded single-flight LRU over compiled artifacts.
@@ -178,18 +191,18 @@ impl ArtifactCache {
     }
 
     fn begin(&self, key: &str) -> Lookup {
-        let mut inner = self.lock();
-        match inner.map.get(key) {
-            Some(Slot::Ready(entry)) => {
-                let entry = Arc::clone(entry);
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.tick += 1;
+        match inner.map.get_mut(key) {
+            Some(Slot::Ready(entry, used)) => {
+                *used = inner.tick;
                 inner.hits += 1;
-                touch(&mut inner.order, key);
-                Lookup::Hit(entry)
+                Lookup::Hit(Arc::clone(entry))
             }
             Some(Slot::InFlight(flight)) => {
-                let flight = Arc::clone(flight);
                 inner.coalesced += 1;
-                Lookup::Coalesce(flight)
+                Lookup::Coalesce(Arc::clone(flight))
             }
             None => {
                 inner.misses += 1;
@@ -201,9 +214,9 @@ impl ArtifactCache {
     }
 
     /// Lands a finished compile: successes become ready (evicting the
-    /// least-recently-used entry past capacity), failures clear the slot
-    /// so the next submission retries. Either way the flight's waiters
-    /// are released.
+    /// least-recently-used entry past capacity — a scan of the cache, paid
+    /// only on a miss), failures clear the slot so the next submission
+    /// retries. Either way the flight's waiters are released.
     fn complete(&self, key: &str, result: Result<CacheEntry, String>) {
         let (flight, result) = {
             let mut inner = self.lock();
@@ -213,11 +226,14 @@ impl ArtifactCache {
             };
             let result = result.map(Arc::new);
             if let Ok(entry) = &result {
-                inner.map.insert(key.to_string(), Slot::Ready(Arc::clone(entry)));
-                touch(&mut inner.order, key);
-                while inner.order.len() > self.capacity {
-                    let evicted = inner.order.remove(0);
-                    inner.map.remove(&evicted);
+                inner.tick += 1;
+                let tick = inner.tick;
+                inner.map.insert(key.to_string(), Slot::Ready(Arc::clone(entry), tick));
+                if inner.ready().count() > self.capacity {
+                    if let Some((_, oldest)) = inner.ready().min() {
+                        let oldest = oldest.clone();
+                        inner.map.remove(&oldest);
+                    }
                 }
             }
             (flight, result)
@@ -231,22 +247,15 @@ impl ArtifactCache {
     /// `artifact` op, which is an inspection, not a submission).
     fn get_ready(&self, key: &str) -> Option<Arc<CacheEntry>> {
         match self.lock().map.get(key) {
-            Some(Slot::Ready(entry)) => Some(Arc::clone(entry)),
+            Some(Slot::Ready(entry, _)) => Some(Arc::clone(entry)),
             _ => None,
         }
     }
 
     fn stats(&self) -> (usize, usize, usize, usize) {
         let inner = self.lock();
-        (inner.hits, inner.misses, inner.coalesced, inner.order.len())
+        (inner.hits, inner.misses, inner.coalesced, inner.ready().count())
     }
-}
-
-fn touch(order: &mut Vec<String>, key: &str) {
-    if let Some(pos) = order.iter().position(|k| k == key) {
-        order.remove(pos);
-    }
-    order.push(key.to_string());
 }
 
 /// Bounded memo from raw QASM bytes to the circuit content hash.
@@ -538,6 +547,9 @@ fn handle_line(state: &Arc<ServiceState>, line: &str) -> (String, bool) {
 }
 
 fn handle_connection(state: Arc<ServiceState>, stream: TcpStream) {
+    // Connections are served in parallel already; a QASM parse on a memo
+    // miss runs on this thread alone.
+    mark_job_worker();
     // A short read timeout lets idle connections notice shutdown without
     // a dedicated waker per connection.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
@@ -551,18 +563,20 @@ fn handle_connection(state: Arc<ServiceState>, stream: TcpStream) {
         match reader.read_line(&mut line) {
             Ok(0) => break, // client closed
             Ok(_) => {
-                let (response, close) = if line.trim().is_empty() {
+                let (mut response, close) = if line.trim().is_empty() {
                     (String::new(), false)
                 } else {
                     handle_line(&state, line.trim_end())
                 };
                 line.clear();
-                if !response.is_empty()
-                    && (writer.write_all(response.as_bytes()).is_err()
-                        || writer.write_all(b"\n").is_err()
-                        || writer.flush().is_err())
-                {
-                    break;
+                if !response.is_empty() {
+                    // One write per line: writing the newline separately
+                    // meets Nagle's algorithm and the client's delayed ACK,
+                    // which stall every response by ~40 ms.
+                    response.push('\n');
+                    if writer.write_all(response.as_bytes()).is_err() || writer.flush().is_err() {
+                        break;
+                    }
                 }
                 if close {
                     // The acceptor blocks in `accept`; a self-connect to
@@ -722,9 +736,9 @@ pub fn roundtrip(addr: &str, request: &str) -> Result<String, CliError> {
     let err = |e: std::fmt::Arguments<'_>| CliError::Compile(format!("service at {addr}: {e}"));
     let mut stream =
         TcpStream::connect(addr).map_err(|e| err(format_args!("cannot connect: {e}")))?;
+    // One write per line (see `handle_connection`).
     stream
-        .write_all(request.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
+        .write_all(format!("{request}\n").as_bytes())
         .and_then(|()| stream.flush())
         .map_err(|e| err(format_args!("send failed: {e}")))?;
     let mut reader = BufReader::new(stream);
@@ -1072,6 +1086,26 @@ mod tests {
         let cache = second.get("service").and_then(|s| s.get("cache")).and_then(Json::as_str);
         assert_eq!(cache, Some("miss"), "{second}");
         assert_ne!(first.get("key"), second.get("key"));
+    }
+
+    /// Each response leaves in one write: a separate newline write would
+    /// wait on the client's delayed ACK (~40 ms a request under Nagle's
+    /// algorithm), so 20 sequential requests would take ~800 ms.
+    #[test]
+    fn sequential_requests_on_one_connection_are_not_stalled() {
+        let daemon = TestDaemon::start();
+        let stream = TcpStream::connect(&daemon.addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let started = Instant::now();
+        for _ in 0..20 {
+            writer.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.starts_with("{\"status\":\"ok\""), "{line}");
+        }
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_millis(400), "20 requests took {elapsed:?}");
     }
 
     /// Full in-process service loop: serve on an ephemeral port, submit

@@ -23,14 +23,6 @@ pub enum CompileError {
         /// Qubits covered by the partition.
         partition_qubits: usize,
     },
-    /// A pipeline stage needed an artifact no earlier stage produced (the
-    /// pipeline was composed wrongly, e.g. `assign` without `aggregate`).
-    MissingArtifact {
-        /// The pass (or consumer) that needed the artifact.
-        pass: &'static str,
-        /// What was missing.
-        missing: &'static str,
-    },
     /// A block→node map is not a valid placement (wrong length, or two
     /// blocks landing on the same physical node).
     InvalidPlacement {
@@ -48,12 +40,6 @@ impl fmt::Display for CompileError {
                 f,
                 "circuit has {circuit_qubits} qubits but the partition covers {partition_qubits}"
             ),
-            CompileError::MissingArtifact { pass, missing } => {
-                write!(
-                    f,
-                    "pipeline stage '{pass}' needs a {missing}, but no earlier stage produced one"
-                )
-            }
             CompileError::InvalidPlacement { reason } => {
                 write!(f, "invalid block-to-node placement: {reason}")
             }

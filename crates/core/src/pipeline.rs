@@ -1,45 +1,30 @@
-//! The end-to-end AutoComm compiler, expressed as a pass pipeline.
+//! The end-to-end AutoComm compiler.
 //!
-//! [`Pipeline`] composes [`Pass`] stages over a shared [`PassContext`];
-//! [`AutoComm`] is the convenience wrapper that maps an
-//! [`AutoCommOptions`] configuration onto the canonical
-//! orient → unroll → aggregate → assign → metrics → schedule pipeline.
-//! Every paper ablation (Fig. 17) is an [`Ablation`] applied to the
-//! options — one code path, many configurations.
+//! [`AutoComm`] runs the paper's fixed stage order (Figure 1) as two
+//! straight-line functions: an *analysis* — orient → unroll → comm-ir →
+//! aggregate → assign → metrics — and a *schedule* that turns the analysis
+//! plus a placement into a [`CompileResult`]. Each stage is timed into a
+//! [`PassReport`]. Every paper ablation (Fig. 17) is an [`Ablation`]
+//! applied to the [`AutoCommOptions`] — one code path, many
+//! configurations.
 
+use std::borrow::Cow;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use dqc_circuit::{Circuit, NodeId, Partition};
+use dqc_circuit::{unroll_circuit, Circuit, NodeId, Partition};
 use dqc_hardware::HardwareSpec;
 use dqc_partition::{
     oee_refine_cached, oee_refine_on_stats, place_blocks_stats, OeeCache, OeeOptions, PlaceOptions,
 };
-use dqc_protocols::PhysicalProgram;
 
-use crate::pass::{
-    run_timed, schedule_metric, AggregatePass, AssignPass, IrPass, LowerPass, MetricsPass,
-    OrientPass, Pass, PassContext, PassReport, PlacementPass, SchedulePass, UnrollPass,
-};
 use crate::{
-    comm_weighted_graph, AggregateOptions, AggregatedProgram, AssignedProgram, CommIr, CommMetrics,
-    CompileError, Placement, ScheduleOptions, ScheduleSummary,
+    aggregate_ir, aggregate_no_commute_ir, assign_cat_only_on, assign_on, comm_weighted_graph,
+    orient_symmetric_gates, AggregateOptions, AggregatedProgram, AssignedProgram, CommIr,
+    CommMetrics, CompileError, Placement, ScheduleOptions, ScheduleSummary, Scheme,
 };
 
-/// How the pipeline maps partition blocks onto physical topology nodes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum PlacementStrategy {
-    /// Block `i` lands on node `i` — the historical implicit map, and the
-    /// bit-identity safety rail.
-    #[default]
-    Identity,
-    /// Insert a [`PlacementPass`] after aggregation: one traffic-aware
-    /// block→node optimization per compile (the iterative driver
-    /// [`AutoComm::compile_placed`] goes further and feeds *measured*
-    /// communication counts back in).
-    Topology,
-}
-
-/// Pipeline configuration; the defaults reproduce full AutoComm, and each
+/// Compiler configuration; the defaults reproduce full AutoComm, and each
 /// toggle corresponds to one ablation of paper Fig. 17.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AutoCommOptions {
@@ -51,8 +36,6 @@ pub struct AutoCommOptions {
     pub orient_symmetric: bool,
     /// Use the hybrid Cat/TP assignment (off = Fig. 17b's “Cat-Comm only”).
     pub hybrid_assignment: bool,
-    /// Block→node placement (identity reproduces the historical pipeline).
-    pub placement: PlacementStrategy,
     /// Aggregation tuning.
     pub aggregate: AggregateOptions,
     /// Scheduler tuning ([`ScheduleOptions::plain_greedy`] = Fig. 17c's
@@ -66,7 +49,6 @@ impl Default for AutoCommOptions {
             commutation_aggregation: true,
             orient_symmetric: true,
             hybrid_assignment: true,
-            placement: PlacementStrategy::Identity,
             aggregate: AggregateOptions::default(),
             schedule: ScheduleOptions::default(),
         }
@@ -138,270 +120,60 @@ impl Ablation {
     }
 }
 
-/// A composed sequence of passes.
-///
-/// Build one by hand with [`Pipeline::builder`], or derive the canonical
-/// AutoComm sequence from options with [`Pipeline::autocomm`]:
-///
-/// ```
-/// use autocomm::{AggregateOptions, Pipeline, ScheduleOptions};
-/// use dqc_circuit::{Circuit, Gate, Partition, QubitId};
-/// use dqc_hardware::HardwareSpec;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let q = |i| QubitId::new(i);
-/// let mut circuit = Circuit::new(4);
-/// circuit.push(Gate::cx(q(0), q(2)))?;
-/// circuit.push(Gate::cx(q(0), q(3)))?;
-/// let partition = Partition::block(4, 2)?;
-/// let hw = HardwareSpec::for_partition(&partition);
-///
-/// let pipeline = Pipeline::builder()
-///     .unroll()
-///     .aggregate(AggregateOptions::default())
-///     .assign()
-///     .metrics()
-///     .schedule(ScheduleOptions::default())
-///     .build();
-/// let out = pipeline.run(&circuit, &partition, &hw)?;
-/// assert_eq!(out.metrics.unwrap().total_comms, 1);
-/// assert_eq!(out.reports.len(), 5);
-/// # Ok(())
-/// # }
-/// ```
-pub struct Pipeline {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl Pipeline {
-    /// An empty pipeline builder.
-    pub fn builder() -> PipelineBuilder {
-        PipelineBuilder { passes: Vec::new() }
-    }
-
-    /// The canonical AutoComm pipeline for `options`:
-    /// orient → unroll → comm-ir → aggregate → [place →] assign → metrics →
-    /// schedule (the orient stage drops when `options.orient_symmetric` is
-    /// off; the place stage appears only under
-    /// [`PlacementStrategy::Topology`]).
-    pub fn autocomm(options: &AutoCommOptions) -> Pipeline {
-        Pipeline::autocomm_prefix(options).schedule(options.schedule).build()
-    }
-
-    /// The canonical pipeline *without* the scheduling stage — everything
-    /// needed to evaluate a candidate placement's EPR cost. The placement
-    /// driver uses this for rounds that re-partition (scheduling the
-    /// discarded candidates would be pure waste; the winning placement
-    /// gets one full compile at the end).
-    pub(crate) fn autocomm_analysis(options: &AutoCommOptions) -> Pipeline {
-        Pipeline::autocomm_prefix(options).build()
-    }
-
-    /// Shared prefix of [`Pipeline::autocomm`] and
-    /// [`Pipeline::autocomm_analysis`]: everything through metrics.
-    fn autocomm_prefix(options: &AutoCommOptions) -> PipelineBuilder {
-        let mut builder = Pipeline::builder();
-        if options.orient_symmetric {
-            builder = builder.orient();
-        }
-        builder = builder.unroll().comm_ir();
-        builder = if options.commutation_aggregation {
-            builder.aggregate(options.aggregate)
-        } else {
-            builder.aggregate_no_commute()
-        };
-        if options.placement == PlacementStrategy::Topology {
-            builder = builder.place();
-        }
-        builder =
-            if options.hybrid_assignment { builder.assign() } else { builder.assign_cat_only() };
-        builder.metrics()
-    }
-
-    /// The pass names, in execution order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Runs every pass in order over `circuit` under the identity
-    /// placement (block `i` on node `i` — the historical behavior).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::RegisterMismatch`] when the partition does
-    /// not cover the circuit, and propagates the first failing pass's
-    /// error.
-    pub fn run(
-        &self,
-        circuit: &Circuit,
-        partition: &Partition,
-        hardware: &HardwareSpec,
-    ) -> Result<PipelineOutput, CompileError> {
-        self.run_placed(circuit, &Placement::identity(partition), hardware)
-    }
-
-    /// Runs every pass in order over `circuit` against an explicit
-    /// placement (the iterative driver's entry point; a [`PlacementPass`]
-    /// in the pipeline overrides the provided map with its own optimized
-    /// one).
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::run`].
-    pub fn run_placed(
-        &self,
-        circuit: &Circuit,
-        placement: &Placement,
-        hardware: &HardwareSpec,
-    ) -> Result<PipelineOutput, CompileError> {
-        if circuit.num_qubits() != placement.num_qubits() {
-            return Err(CompileError::RegisterMismatch {
-                circuit_qubits: circuit.num_qubits(),
-                partition_qubits: placement.num_qubits(),
-            });
-        }
-        let mut ctx = PassContext::new_placed(circuit, placement, hardware);
-        let mut reports = Vec::with_capacity(self.passes.len());
-        for pass in &self.passes {
-            reports.push(run_timed(pass.as_ref(), &mut ctx)?);
-        }
-        Ok(PipelineOutput {
-            circuit: ctx.circuit.into_owned(),
-            placement: ctx.placement,
-            ir: ctx.ir,
-            aggregated: ctx.aggregated,
-            assigned: ctx.assigned,
-            metrics: ctx.metrics,
-            schedule: ctx.schedule,
-            lowered: ctx.lowered,
-            reports,
-        })
-    }
-}
-
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pipeline").field("passes", &self.pass_names()).finish()
-    }
-}
-
-/// Fluent construction of a [`Pipeline`].
-pub struct PipelineBuilder {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl std::fmt::Debug for PipelineBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<&str> = self.passes.iter().map(|p| p.name()).collect();
-        f.debug_struct("PipelineBuilder").field("passes", &names).finish()
-    }
-}
-
-impl PipelineBuilder {
-    /// Appends an arbitrary pass (the extension point for new protocols and
-    /// experiments).
-    pub fn pass(mut self, pass: impl Pass + 'static) -> Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Appends the symmetric-gate orientation stage.
-    pub fn orient(self) -> Self {
-        self.pass(OrientPass)
-    }
-
-    /// Appends the CX+U3 unrolling stage.
-    pub fn unroll(self) -> Self {
-        self.pass(UnrollPass)
-    }
-
-    /// Appends the indexed-IR construction stage (must follow unrolling;
-    /// aggregation builds the IR on demand when this stage is omitted).
-    pub fn comm_ir(self) -> Self {
-        self.pass(IrPass)
-    }
-
-    /// Appends commutation-aware burst aggregation.
-    pub fn aggregate(self, options: AggregateOptions) -> Self {
-        self.pass(AggregatePass { options, no_commute: false })
-    }
-
-    /// Appends commutation-free aggregation (Fig. 17a's “No Commute”).
-    pub fn aggregate_no_commute(self) -> Self {
-        self.pass(AggregatePass { options: AggregateOptions::default(), no_commute: true })
-    }
-
-    /// Appends the topology-aware block→node placement stage (must follow
-    /// aggregation — it optimizes over the discovered burst blocks).
-    pub fn place(self) -> Self {
-        self.pass(PlacementPass::default())
-    }
-
-    /// Appends a placement stage optimizing an explicit (typically
-    /// *measured*) block-level traffic matrix instead of the aggregated
-    /// program's predicted one.
-    pub fn place_with_traffic(self, traffic: Vec<Vec<u64>>) -> Self {
-        self.pass(PlacementPass { traffic: Some(traffic) })
-    }
-
-    /// Appends hybrid Cat/TP scheme assignment.
-    pub fn assign(self) -> Self {
-        self.pass(AssignPass { hybrid: true })
-    }
-
-    /// Appends Cat-Comm-only scheme assignment (Fig. 17b).
-    pub fn assign_cat_only(self) -> Self {
-        self.pass(AssignPass { hybrid: false })
-    }
-
-    /// Appends the Table-3 metrics stage.
-    pub fn metrics(self) -> Self {
-        self.pass(MetricsPass)
-    }
-
-    /// Appends the latency scheduling stage.
-    pub fn schedule(self, options: ScheduleOptions) -> Self {
-        self.pass(SchedulePass { options })
-    }
-
-    /// Appends physical protocol lowering (the verification back-end).
-    pub fn lower(self) -> Self {
-        self.pass(LowerPass)
-    }
-
-    /// Finishes the pipeline.
-    pub fn build(self) -> Pipeline {
-        Pipeline { passes: self.passes }
-    }
-}
-
-/// Everything a pipeline run produced: the final logical circuit, each
-/// stage's artifact (present iff the stage was in the pipeline), and the
-/// per-pass reports.
+/// Timing and headline metric of one executed compiler stage.
 #[derive(Clone, Debug)]
-pub struct PipelineOutput {
-    /// The logical circuit after all circuit-rewriting stages.
-    pub circuit: Circuit,
-    /// The placement the run compiled against (identity unless a
-    /// [`PlacementPass`] ran or [`Pipeline::run_placed`] provided one).
-    pub placement: Placement,
-    /// The indexed IR, if the comm-ir (or an aggregation) stage ran.
-    pub ir: Option<Arc<CommIr>>,
-    /// Burst blocks, if an aggregation stage ran.
-    pub aggregated: Option<AggregatedProgram>,
-    /// Scheme-assigned blocks, if an assignment stage ran.
-    pub assigned: Option<AssignedProgram>,
-    /// Table-3 metrics, if the metrics stage ran.
-    pub metrics: Option<CommMetrics>,
-    /// Latency schedule, if the scheduling stage ran.
-    pub schedule: Option<ScheduleSummary>,
-    /// Physical expansion, if the lowering stage ran.
-    pub lowered: Option<PhysicalProgram>,
-    /// Per-pass timing and headline metrics, in execution order.
-    pub reports: Vec<PassReport>,
+pub struct PassReport {
+    /// The stage name.
+    pub pass: &'static str,
+    /// Wall-clock time the stage took.
+    pub duration: Duration,
+    /// The stage's headline metric, if it reports one.
+    pub metric: Option<String>,
 }
 
-/// The AutoComm compiler: the canonical pipeline derived from
+/// Runs one stage, appending its timing and headline metric to `passes`
+/// (the metric is computed after the clock stops).
+fn timed<T>(
+    passes: &mut Vec<PassReport>,
+    pass: &'static str,
+    run: impl FnOnce() -> T,
+    metric: impl FnOnce(&T) -> Option<String>,
+) -> T {
+    let start = Instant::now();
+    let out = run();
+    passes.push(PassReport { pass, duration: start.elapsed(), metric: metric(&out) });
+    out
+}
+
+/// The schedule stage's headline metric line.
+fn schedule_metric(s: &ScheduleSummary) -> String {
+    if s.buffering.policy.is_buffered() {
+        format!(
+            "makespan {:.1}, {} epr, {} buffering ({}/{} hits{})",
+            s.makespan,
+            s.epr_pairs,
+            s.buffering.policy.name(),
+            s.buffering.prefetch_hits,
+            s.buffering.requests,
+            if s.buffering.fell_back { ", fell back" } else { "" }
+        )
+    } else {
+        format!("makespan {:.1}, {} epr", s.makespan, s.epr_pairs)
+    }
+}
+
+/// Every pre-schedule artifact of one compile against one placement — all
+/// a candidate placement's EPR cost needs — plus the stage reports.
+struct Analysis {
+    unrolled: Circuit,
+    ir: Arc<CommIr>,
+    aggregated: AggregatedProgram,
+    assigned: AssignedProgram,
+    metrics: CommMetrics,
+    passes: Vec<PassReport>,
+}
+
+/// The AutoComm compiler: the fixed stage order, configured by
 /// [`AutoCommOptions`].
 ///
 /// See the crate-level documentation for an end-to-end example.
@@ -455,11 +227,6 @@ impl AutoComm {
         &self.options
     }
 
-    /// The pipeline this compiler runs.
-    pub fn pipeline(&self) -> Pipeline {
-        Pipeline::autocomm(&self.options)
-    }
-
     /// Compiles `circuit` for the machine implied by `partition` (one node
     /// per partition class, two communication qubits each).
     ///
@@ -488,13 +255,13 @@ impl AutoComm {
         partition: &Partition,
         hw: &HardwareSpec,
     ) -> Result<CompileResult, CompileError> {
-        let out = self.pipeline().run(circuit, partition, hw)?;
-        CompileResult::from_output(out)
+        let placement = Placement::identity(partition);
+        let analysis = self.analyze(circuit, &placement, hw)?;
+        Ok(self.schedule(analysis, placement, hw))
     }
 
-    /// Compiles against an explicit placement through this compiler's
-    /// pipeline, with any in-pipeline placement stage removed — the caller
-    /// owns the block→node map.
+    /// Compiles against an explicit placement — the caller owns the
+    /// block→node map.
     ///
     /// # Errors
     ///
@@ -505,10 +272,111 @@ impl AutoComm {
         placement: &Placement,
         hw: &HardwareSpec,
     ) -> Result<CompileResult, CompileError> {
-        let mut options = self.options;
-        options.placement = PlacementStrategy::Identity;
-        let out = Pipeline::autocomm(&options).run_placed(circuit, placement, hw)?;
-        CompileResult::from_output(out)
+        let analysis = self.analyze(circuit, placement, hw)?;
+        Ok(self.schedule(analysis, placement.clone(), hw))
+    }
+
+    /// The analysis stages against `placement`: orient (when
+    /// `orient_symmetric` is on) → unroll → comm-ir → aggregate → assign →
+    /// metrics, each timed into a [`PassReport`].
+    fn analyze(
+        &self,
+        circuit: &Circuit,
+        placement: &Placement,
+        hw: &HardwareSpec,
+    ) -> Result<Analysis, CompileError> {
+        if circuit.num_qubits() != placement.num_qubits() {
+            return Err(CompileError::RegisterMismatch {
+                circuit_qubits: circuit.num_qubits(),
+                partition_qubits: placement.num_qubits(),
+            });
+        }
+        let options = &self.options;
+        let partition = placement.partition();
+        let topology = hw.topology();
+        let mut passes = Vec::with_capacity(7);
+        // The oriented circuit is dropped as soon as it is unrolled; an
+        // unoriented compile borrows its input and never clones it.
+        let unrolled = {
+            let oriented = if options.orient_symmetric {
+                Cow::Owned(timed(
+                    &mut passes,
+                    "orient",
+                    || orient_symmetric_gates(circuit, partition),
+                    |_| None,
+                ))
+            } else {
+                Cow::Borrowed(circuit)
+            };
+            timed(
+                &mut passes,
+                "unroll",
+                || unroll_circuit(&oriented),
+                |r| r.as_ref().ok().map(|c| format!("{} gates", c.len())),
+            )?
+        };
+        // The conflict DAG is lazy: the default compile streams predecessor
+        // sets during aggregation, so it is never built when this metric is
+        // read.
+        let ir = timed(
+            &mut passes,
+            "comm-ir",
+            || CommIr::build_shared(&unrolled, partition),
+            |ir| Some(format!("{} gates ({} unique), lazy dag", ir.len(), ir.unique_gates())),
+        );
+        let aggregated = timed(
+            &mut passes,
+            "aggregate",
+            || {
+                if options.commutation_aggregation {
+                    aggregate_ir(Arc::clone(&ir), options.aggregate)
+                } else {
+                    aggregate_no_commute_ir(Arc::clone(&ir))
+                }
+            },
+            |a| Some(format!("{} blocks", a.block_count())),
+        );
+        let assigned = timed(
+            &mut passes,
+            "assign",
+            || {
+                if options.hybrid_assignment {
+                    assign_on(&aggregated, placement, topology)
+                } else {
+                    assign_cat_only_on(&aggregated, placement, topology)
+                }
+            },
+            |a| {
+                let tp = a.blocks().filter(|b| b.scheme == Scheme::Tp).count();
+                let cat = a.blocks().count() - tp;
+                Some(format!("{cat} cat / {tp} tp blocks"))
+            },
+        );
+        let metrics = timed(
+            &mut passes,
+            "metrics",
+            || CommMetrics::of(&assigned),
+            |m| Some(format!("{} comms ({} tp)", m.total_comms, m.tp_comms)),
+        );
+        Ok(Analysis { unrolled, ir, aggregated, assigned, metrics, passes })
+    }
+
+    /// The schedule stage: lays `analysis`, compiled against `placement`,
+    /// onto the hardware model.
+    fn schedule(
+        &self,
+        analysis: Analysis,
+        placement: Placement,
+        hw: &HardwareSpec,
+    ) -> CompileResult {
+        let Analysis { unrolled, ir, aggregated, assigned, metrics, mut passes } = analysis;
+        let schedule = timed(
+            &mut passes,
+            "schedule",
+            || crate::schedule(&assigned, &placement, hw, self.options.schedule),
+            |s| Some(schedule_metric(s)),
+        );
+        CompileResult { unrolled, placement, ir, aggregated, assigned, metrics, schedule, passes }
     }
 
     /// The topology- and traffic-aware iterative placement driver: compile,
@@ -540,27 +408,17 @@ impl AutoComm {
         }
         let topology = hw.topology();
         let mut placement = Placement::identity(partition);
-        let identity = self.compile_with_placement(circuit, &placement, hw)?;
-        let initial_epr_cost = identity.metrics.total_epr_cost;
-        // Round state: evaluating a candidate placement needs only the
-        // aggregated program, the assignment, and its metrics — never the
-        // schedule. The interaction graph is hoisted out of the loop and
-        // recomputed only when an accepted round changed the logical
-        // partition: it depends on the aggregated program alone, not on
-        // the block→node map.
-        let mut aggregated = identity.aggregated.clone();
-        let mut assigned = identity.assigned.clone();
-        let mut metrics = identity.metrics.clone();
-        // Circuit-level artifacts (unrolled circuit, indexed IR) and the
-        // pass reports of the run that produced the current artifacts.
-        // Partition-preserving rounds keep them valid (orientation and
-        // unrolling depend only on the circuit and the logical partition);
-        // partition-changing accepted rounds replace them from their
-        // analysis-pipeline run.
-        let mut unrolled = identity.unrolled.clone();
-        let mut ir = Arc::clone(&identity.ir);
-        let mut passes = identity.passes.clone();
-        let mut graph = comm_weighted_graph(&aggregated);
+        // Round state: the identity run's analysis, moved (never cloned)
+        // into each accepted round's artifacts. Evaluating a candidate
+        // placement needs only the aggregated program, the assignment and
+        // its metrics — never the schedule, which runs once, after the
+        // loop, for the winning placement. The interaction graph is hoisted
+        // out of the loop and recomputed only when an accepted round
+        // changed the logical partition: it depends on the aggregated
+        // program alone, not on the block→node map.
+        let mut state = self.analyze(circuit, &placement, hw)?;
+        let initial_epr_cost = state.metrics.total_epr_cost;
+        let mut graph = comm_weighted_graph(&state.aggregated);
         let mut iterations = 0usize;
         let mut work = PlacementWork::default();
         // Warm-start state for the hop-weighted OEE: carried across rounds
@@ -582,14 +440,14 @@ impl AutoComm {
             // round whose refinement terminated naturally: a changed
             // partition rebuilds the graph, and a saturated refinement is
             // not a fixed point.)
-            if prev_pair_comms.as_ref() == Some(&metrics.pair_comms) {
+            if prev_pair_comms.as_ref() == Some(&state.metrics.pair_comms) {
                 work.rounds_skipped += 1;
                 break;
             }
             // Measured communication traffic over logical blocks — what the
             // compiled program actually pays per pair, post-aggregation
             // (dense form of the sparse `CommMetrics::pair_comms`).
-            let traffic = metrics.traffic_matrix(placement.num_nodes());
+            let traffic = state.metrics.traffic_matrix(placement.num_nodes());
             let (node_map, place_stats) = place_blocks_stats(
                 &traffic,
                 topology.num_nodes(),
@@ -620,103 +478,38 @@ impl AutoComm {
             // leave the logical partition alone; then only blocks whose
             // physical endpoints moved are re-assigned (incremental
             // recompilation). A changed partition invalidates aggregation
-            // and falls back to the analysis pipeline (no scheduling — the
-            // winning placement gets one full compile after the loop).
-            let (cand_rebuilt, cand_assigned, cand_metrics) =
-                if candidate.partition() == placement.partition() {
-                    let inc = crate::assign_incremental(
-                        &assigned,
-                        &placement,
-                        &candidate,
-                        topology,
-                        self.options.hybrid_assignment,
-                    );
-                    let m = CommMetrics::of(&inc);
-                    (None, inc, m)
-                } else {
-                    let mut options = self.options;
-                    options.placement = PlacementStrategy::Identity;
-                    let out = Pipeline::autocomm_analysis(&options)
-                        .run_placed(circuit, &candidate, hw)?;
-                    let missing = |stage| CompileError::MissingArtifact {
-                        pass: "compile-placed",
-                        missing: stage,
-                    };
-                    (
-                        Some((
-                            out.circuit,
-                            out.ir.ok_or(missing("comm ir"))?,
-                            out.aggregated.ok_or(missing("aggregated program"))?,
-                            out.reports,
-                        )),
-                        out.assigned.ok_or(missing("assigned program"))?,
-                        out.metrics.ok_or(missing("metrics"))?,
-                    )
-                };
-            if cand_metrics.total_epr_cost < metrics.total_epr_cost {
+            // and reruns the whole analysis. A round that does not
+            // strictly improve ends the loop with the best-so-far state.
+            if candidate.partition() == placement.partition() {
+                let assigned = crate::assign_incremental(
+                    &state.assigned,
+                    &placement,
+                    &candidate,
+                    topology,
+                    self.options.hybrid_assignment,
+                );
+                let metrics = CommMetrics::of(&assigned);
+                if metrics.total_epr_cost >= state.metrics.total_epr_cost {
+                    break;
+                }
                 // Arm the unchanged-traffic skip only when its fixed-point
                 // argument holds for the next round: the interaction graph
                 // survives (partition-preserving round) and the refinement
                 // above converged rather than hitting its safety valve.
-                prev_pair_comms = (cand_rebuilt.is_none() && refine_converged)
-                    .then(|| metrics.pair_comms.clone());
-                if let Some((circ, cand_ir, agg, reports)) = cand_rebuilt {
-                    unrolled = circ;
-                    ir = cand_ir;
-                    passes = reports;
-                    aggregated = agg;
-                    graph = comm_weighted_graph(&aggregated);
-                }
-                assigned = cand_assigned;
-                metrics = cand_metrics;
-                placement = candidate;
-                iterations += 1;
+                let measured = std::mem::replace(&mut state.metrics, metrics);
+                prev_pair_comms = refine_converged.then_some(measured.pair_comms);
+                state.assigned = assigned;
             } else {
-                break; // no improvement: keep the best-so-far placement
+                let rebuilt = self.analyze(circuit, &candidate, hw)?;
+                if rebuilt.metrics.total_epr_cost >= state.metrics.total_epr_cost {
+                    break;
+                }
+                prev_pair_comms = None;
+                graph = comm_weighted_graph(&rebuilt.aggregated);
+                state = rebuilt;
             }
-        }
-        // Schedule reuse: the loop already holds every pre-schedule
-        // artifact of the winning placement (`assigned` shares the same
-        // `Arc<CommIr>` the scheduler resolves against), so instead of the
-        // historical full recompile only the never-computed schedule runs
-        // here. `force_full` keeps the full driver as the verification
-        // rail, the property suite pins both drivers artifact-for-artifact,
-        // and debug builds cross-check against a full recompile below.
-        let best = if iterations == 0 {
-            identity
-        } else {
-            // The identity run's stale schedule report is replaced by the
-            // fresh one (`--timings` keys on unique pass names).
-            passes.retain(|r| r.pass != "schedule");
-            let started = std::time::Instant::now();
-            let schedule = crate::schedule(&assigned, &placement, hw, self.options.schedule);
-            passes.push(PassReport {
-                pass: "schedule",
-                duration: started.elapsed(),
-                metric: Some(schedule_metric(&schedule)),
-            });
-            CompileResult {
-                unrolled,
-                placement: placement.clone(),
-                ir,
-                aggregated,
-                assigned,
-                metrics,
-                schedule,
-                passes,
-            }
-        };
-        #[cfg(debug_assertions)]
-        if iterations > 0 {
-            let full = self.compile_with_placement(circuit, &placement, hw)?;
-            assert_eq!(
-                full.metrics, best.metrics,
-                "incremental round metrics drifted from the full recompile"
-            );
-            assert_eq!(
-                full.schedule, best.schedule,
-                "reused schedule drifted from the full recompile"
-            );
+            placement = candidate;
+            iterations += 1;
         }
         let report = PlacementReport {
             iterations,
@@ -728,9 +521,28 @@ impl AutoComm {
             ),
             node_map: placement.node_map().to_vec(),
             initial_epr_cost,
-            final_epr_cost: best.metrics.total_epr_cost,
+            final_epr_cost: state.metrics.total_epr_cost,
             work,
         };
+        // Schedule once, for the winning placement: the loop already holds
+        // every pre-schedule artifact (`assigned` shares the same
+        // `Arc<CommIr>` the scheduler resolves against). `force_full`
+        // keeps the full driver as the verification rail, the property
+        // suite pins both drivers artifact-for-artifact, and debug builds
+        // cross-check against a full recompile below.
+        let best = self.schedule(state, placement, hw);
+        #[cfg(debug_assertions)]
+        if iterations > 0 {
+            let full = self.compile_with_placement(circuit, &best.placement, hw)?;
+            assert_eq!(
+                full.metrics, best.metrics,
+                "incremental round metrics drifted from the full recompile"
+            );
+            assert_eq!(
+                full.schedule, best.schedule,
+                "reused schedule drifted from the full recompile"
+            );
+        }
         Ok((best, report))
     }
 
@@ -896,25 +708,6 @@ impl PartialEq for PlacementReport {
     }
 }
 
-impl CompileResult {
-    /// Extracts the canonical artifacts from a pipeline run, surfacing a
-    /// hand-built pipeline that omitted a stage as a loud error instead of
-    /// silently producing half a result.
-    fn from_output(out: PipelineOutput) -> Result<CompileResult, CompileError> {
-        let missing = |stage| CompileError::MissingArtifact { pass: "compile", missing: stage };
-        Ok(CompileResult {
-            unrolled: out.circuit,
-            placement: out.placement,
-            ir: out.ir.ok_or(missing("comm ir"))?,
-            aggregated: out.aggregated.ok_or(missing("aggregated program"))?,
-            assigned: out.assigned.ok_or(missing("assigned program"))?,
-            metrics: out.metrics.ok_or(missing("metrics"))?,
-            schedule: out.schedule.ok_or(missing("schedule"))?,
-            passes: out.reports,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -998,64 +791,23 @@ mod tests {
     }
 
     #[test]
-    fn builder_pipeline_matches_options_pipeline() {
-        let c = dqc_workloads::qft(10);
-        let p = Partition::block(10, 2).unwrap();
-        let hw = HardwareSpec::for_partition(&p);
-        let from_options = AutoComm::new().compile(&c, &p).unwrap();
-        let by_hand = Pipeline::builder()
-            .orient()
-            .unroll()
-            .aggregate(AggregateOptions::default())
-            .assign()
-            .metrics()
-            .schedule(ScheduleOptions::default())
-            .build()
-            .run(&c, &p, &hw)
-            .unwrap();
-        assert_eq!(by_hand.metrics.as_ref(), Some(&from_options.metrics));
-        assert_eq!(by_hand.schedule.as_ref(), Some(&from_options.schedule));
-        assert_eq!(by_hand.assigned.as_ref(), Some(&from_options.assigned));
-    }
-
-    #[test]
     fn lower_stage_composes() {
         let c = dqc_workloads::bv(8);
         let p = Partition::block(8, 2).unwrap();
         let hw = HardwareSpec::for_partition(&p);
-        let out = Pipeline::builder()
-            .orient()
-            .unroll()
-            .aggregate(AggregateOptions::default())
-            .assign()
-            .metrics()
-            .schedule(ScheduleOptions::default())
-            .lower()
-            .build()
-            .run(&c, &p, &hw)
-            .unwrap();
-        let lowered = out.lowered.expect("lower stage ran");
-        assert_eq!(lowered.epr_pairs, out.schedule.unwrap().epr_pairs);
+        let r = AutoComm::new().compile_on(&c, &p, &hw).unwrap();
+        let lowered = crate::lower_assigned_on(&r.assigned, &r.placement, hw.topology()).unwrap();
+        assert_eq!(lowered.epr_pairs, r.schedule.epr_pairs);
     }
 
     #[test]
-    fn placement_pass_appears_under_the_topology_strategy() {
-        let c = dqc_workloads::qft(6);
-        let p = Partition::block(6, 2).unwrap();
-        let options =
-            AutoCommOptions { placement: PlacementStrategy::Topology, ..Default::default() };
-        let r = AutoComm::with_options(options).compile(&c, &p).unwrap();
-        let names: Vec<&str> = r.passes.iter().map(|p| p.pass).collect();
-        assert_eq!(
-            names,
-            ["orient", "unroll", "comm-ir", "aggregate", "place", "assign", "metrics", "schedule"]
-        );
-        // On the implicit all-to-all machine every map costs the same, so
-        // the optimizer keeps the identity and the results match exactly.
-        let base = AutoComm::new().compile(&c, &p).unwrap();
-        assert!(r.placement.is_identity());
-        assert_eq!(r.metrics, base.metrics);
-        assert_eq!(r.schedule, base.schedule);
+    fn timed_reports_name_and_metric() {
+        let mut passes = Vec::new();
+        let out = timed(&mut passes, "unroll", || 1 + 1, |n| Some(format!("{n} gates")));
+        assert_eq!(out, 2);
+        assert_eq!(passes.len(), 1);
+        assert_eq!(passes[0].pass, "unroll");
+        assert_eq!(passes[0].metric.as_deref(), Some("2 gates"));
     }
 
     #[test]
@@ -1089,50 +841,6 @@ mod tests {
         let mut nodes: Vec<usize> = report.node_map.iter().map(|n| n.index()).collect();
         nodes.sort_unstable();
         assert_eq!(nodes, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn place_with_traffic_overrides_the_derived_matrix() {
-        // The circuit's own traffic is negligible; an explicit measured
-        // matrix demanding blocks 0 and 2 be adjacent must drive the map.
-        let mut c = Circuit::new(6);
-        c.push(Gate::cx(q(0), q(4))).unwrap();
-        let p = Partition::block(6, 3).unwrap();
-        let linear = dqc_hardware::NetworkTopology::linear(3).unwrap();
-        let hw = HardwareSpec::for_partition(&p).with_topology(linear.clone()).unwrap();
-        let traffic = vec![vec![0, 0, 50], vec![0, 0, 0], vec![50, 0, 0]];
-        let out = Pipeline::builder()
-            .unroll()
-            .comm_ir()
-            .aggregate(AggregateOptions::default())
-            .place_with_traffic(traffic)
-            .assign()
-            .metrics()
-            .build()
-            .run(&c, &p, &hw)
-            .unwrap();
-        let map = out.placement.node_map();
-        assert_eq!(
-            linear.hop_distance(map[0], map[2]),
-            Some(1),
-            "the override's heavy pair must land adjacent, got {map:?}"
-        );
-        // The single 2-hop-under-identity comm is now charged one hop.
-        assert_eq!(out.metrics.unwrap().total_epr_cost, 1);
-        // Dropping the override falls back to the aggregated program's own
-        // (here: identical-preference) traffic.
-        let derived = Pipeline::builder()
-            .unroll()
-            .comm_ir()
-            .aggregate(AggregateOptions::default())
-            .place()
-            .assign()
-            .metrics()
-            .build()
-            .run(&c, &p, &hw)
-            .unwrap();
-        let dmap = derived.placement.node_map();
-        assert_eq!(linear.hop_distance(dmap[0], dmap[2]), Some(1));
     }
 
     #[test]
@@ -1236,6 +944,115 @@ mod tests {
         assert_eq!(incremental.1, full.1);
         assert_eq!(incremental.0.metrics, full.0.metrics);
         assert_eq!(incremental.0.assigned, full.0.assigned);
+    }
+
+    fn pass_lines(r: &CompileResult) -> Vec<String> {
+        r.passes
+            .iter()
+            .map(|p| format!("{}: {}", p.pass, p.metric.as_deref().unwrap_or("-")))
+            .collect()
+    }
+
+    /// Stage names and headline metrics are output: the CLI prints them
+    /// under `passes` and keys `--timings` on the names.
+    #[test]
+    fn pass_names_and_metrics_are_pinned() {
+        let c = dqc_workloads::qft(8);
+        let p = Partition::block(8, 2).unwrap();
+        let analysis = |aggregate: &str, assign: &str, metrics: &str| {
+            [
+                "orient: -".to_string(),
+                "unroll: 160 gates".to_string(),
+                "comm-ir: 160 gates (112 unique), lazy dag".to_string(),
+                format!("aggregate: {aggregate}"),
+                format!("assign: {assign}"),
+                format!("metrics: {metrics}"),
+            ]
+        };
+        let full = analysis("7 blocks", "3 cat / 4 tp blocks", "11 comms (8 tp)");
+        let mut no_orient = full[1..].to_vec();
+        no_orient.push("schedule: makespan 198.9, 11 epr".into());
+        let expected: [(Option<Ablation>, Vec<String>); 5] = [
+            (None, [&full[..], &["schedule: makespan 198.9, 11 epr".into()]].concat()),
+            (
+                Some(Ablation::NoCommute),
+                [
+                    &analysis("44 blocks", "44 cat / 0 tp blocks", "44 comms (0 tp)")[..],
+                    &["schedule: makespan 586.7, 44 epr".into()],
+                ]
+                .concat(),
+            ),
+            (
+                Some(Ablation::CatOnly),
+                [
+                    &analysis("7 blocks", "7 cat / 0 tp blocks", "16 comms (0 tp)")[..],
+                    &["schedule: makespan 283.8, 17 epr".into()],
+                ]
+                .concat(),
+            ),
+            (
+                Some(Ablation::PlainGreedy),
+                [&full[..], &["schedule: makespan 283.3, 11 epr".into()]].concat(),
+            ),
+            (Some(Ablation::NoOrient), no_orient),
+        ];
+        for (ablation, lines) in expected {
+            let r = AutoComm::with_ablations(ablation.as_slice()).compile(&c, &p).unwrap();
+            assert_eq!(pass_lines(&r), lines, "{ablation:?}");
+        }
+
+        // The placement driver after accepted rounds: seed 2 takes one
+        // partition-preserving round, seed 4 two rounds that end on a new
+        // partition. A partition-preserving round re-assigns incrementally
+        // and leaves the assign/metrics reports of the run that built the
+        // analysis in place, as the CLI has always printed them.
+        let p = Partition::block(8, 4).unwrap();
+        let hw = HardwareSpec::for_partition(&p)
+            .with_topology(dqc_hardware::NetworkTopology::linear(4).unwrap())
+            .unwrap();
+        let compiler = AutoComm::with_options(
+            AutoCommOptions::default().with_buffer(crate::BufferPolicy::Prefetch { depth: 4 }),
+        );
+        for (seed, iterations, lines) in [
+            (
+                2,
+                1,
+                [
+                    "orient: -",
+                    "unroll: 76 gates",
+                    "comm-ir: 76 gates (55 unique), lazy dag",
+                    "aggregate: 18 blocks",
+                    "assign: 16 cat / 2 tp blocks",
+                    "metrics: 20 comms (4 tp)",
+                    "schedule: makespan 317.3, 30 epr, prefetch:4 buffering (19/20 hits)",
+                ],
+            ),
+            (
+                4,
+                2,
+                [
+                    "orient: -",
+                    "unroll: 69 gates",
+                    "comm-ir: 69 gates (52 unique), lazy dag",
+                    "aggregate: 10 blocks",
+                    "assign: 8 cat / 2 tp blocks",
+                    "metrics: 14 comms (4 tp)",
+                    "schedule: makespan 214.3, 20 epr, prefetch:4 buffering (13/14 hits)",
+                ],
+            ),
+        ] {
+            let (c, _) = dqc_workloads::random_distributed_circuit(8, 4, 40, seed);
+            let (r, report) =
+                compiler.compile_placed(&c, &p, &hw, &PlacementConfig::default()).unwrap();
+            assert_eq!(report.iterations, iterations, "seed {seed}");
+            assert_eq!(pass_lines(&r), lines, "seed {seed}");
+            let last = r.passes.last().unwrap();
+            assert_eq!(last.pass, "schedule");
+            assert_eq!(last.metric.as_deref(), Some(schedule_metric(&r.schedule).as_str()));
+            for pass in &r.passes {
+                assert_eq!(r.passes.iter().filter(|p| p.pass == pass.pass).count(), 1);
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   `(n-1)(tep + t_tele)` latency over teleporting home each time
 //!   (Fig. 14b).
 //!
-//! Disabling all three yields the plain-greedy ablation of paper
-//! Fig. 17(c).
+//! Turning all three off together ([`ScheduleOptions::burst_greedy`])
+//! yields the plain-greedy ablation of paper Fig. 17(c).
 //!
 //! On top of those, [`BufferPolicy`] selects how EPR pairs are
 //! materialized. [`BufferPolicy::OnDemand`] reproduces the historical
@@ -54,12 +54,12 @@ use crate::{AssignedItem, AssignedProgram, CommBlock, Placement, Scheme};
 /// Scheduler feature toggles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScheduleOptions {
-    /// Issue EPR preparations as early as slot availability allows.
-    pub prefetch_epr: bool,
-    /// Overlap commutable Cat blocks sharing the burst qubit.
-    pub parallel_commutable: bool,
-    /// Fuse consecutive same-qubit TP blocks into teleport cycles.
-    pub fuse_tp_chains: bool,
+    /// The paper's burst-greedy optimizations, on or off together: issue
+    /// EPR preparations as early as slot availability allows, overlap
+    /// commutable Cat blocks sharing the burst qubit, and fuse consecutive
+    /// same-qubit TP blocks into teleport cycles (off = Fig. 17c's
+    /// “Greedy”).
+    pub burst_greedy: bool,
     /// Record timeline events (needed for validation; off for large runs).
     pub record_events: bool,
     /// How EPR pairs are materialized relative to the bursts that consume
@@ -81,9 +81,7 @@ pub struct ScheduleOptions {
 impl Default for ScheduleOptions {
     fn default() -> Self {
         ScheduleOptions {
-            prefetch_epr: true,
-            parallel_commutable: true,
-            fuse_tp_chains: true,
+            burst_greedy: true,
             record_events: false,
             buffer: BufferPolicy::OnDemand,
             sequential_rails: false,
@@ -96,15 +94,7 @@ impl ScheduleOptions {
     /// The plain as-soon-as-possible schedule without burst-aware
     /// optimizations (paper Fig. 17c's “Greedy”).
     pub fn plain_greedy() -> Self {
-        ScheduleOptions {
-            prefetch_epr: false,
-            parallel_commutable: false,
-            fuse_tp_chains: false,
-            record_events: false,
-            buffer: BufferPolicy::OnDemand,
-            sequential_rails: false,
-            linear_scan_timeline: false,
-        }
+        ScheduleOptions { burst_greedy: false, ..ScheduleOptions::default() }
     }
 
     /// These options with `policy` selecting the EPR-buffering engine.
@@ -269,7 +259,7 @@ fn schedule_run(
                     // unitaries *on* the qubit ride the chain and execute on
                     // the teleported state at whichever node holds it.
                     let q = b.block.qubit();
-                    let chain_end = if sched.options.fuse_tp_chains {
+                    let chain_end = if sched.options.burst_greedy {
                         find_chain_end(table, items, i, q)
                     } else {
                         i + 1
@@ -339,7 +329,7 @@ fn comm_requests(
             Scheme::Tp => {
                 let q = b.block.qubit();
                 let chain_end =
-                    if options.fuse_tp_chains { find_chain_end(table, items, i, q) } else { i + 1 };
+                    if options.burst_greedy { find_chain_end(table, items, i, q) } else { i + 1 };
                 let home = placement.physical_node_of(q);
                 let mut cursor = home;
                 let mut hop = |from: NodeId, to: NodeId| requests.push((from, to));
@@ -440,7 +430,7 @@ struct Scheduler<'a> {
 
 impl Scheduler<'_> {
     fn claim_earliest(&self, fallback: f64) -> f64 {
-        if self.options.prefetch_epr {
+        if self.options.burst_greedy {
             0.0
         } else {
             fallback
@@ -475,7 +465,7 @@ impl Scheduler<'_> {
         let lat = *self.rm.timeline().latency();
 
         // Decide group membership before touching the timeline.
-        let joins = self.options.parallel_commutable
+        let joins = self.options.burst_greedy
             && matches!(&self.open_group, Some(group) if group.qubit == q)
             && self.joins_group(block);
         let q_avail = if joins {
@@ -521,7 +511,7 @@ impl Scheduler<'_> {
         tl.release_comm(&claim, dis_end);
 
         // Update / open the group; either way the body joins the summary.
-        if self.options.parallel_commutable {
+        if self.options.burst_greedy {
             match &mut self.open_group {
                 Some(group) if group.qubit == q => {
                     group.q_stagger = ent_start + lat.t_2q;
