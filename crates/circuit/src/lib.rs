@@ -70,7 +70,7 @@ pub use error::CircuitError;
 pub use gate::{Gate, GateKind};
 pub use hash::{bytes_content_hash, circuit_content_hash, stream_content_hash, ContentHash};
 pub use ids::{CBitId, NodeId, QubitId};
-pub use par::{mark_job_worker, par_map, worker_count, PAR_THRESHOLD};
+pub use par::{par_map, sequentially, worker_count, PAR_THRESHOLD};
 pub use partition::Partition;
 pub use qasm::to_qasm;
 pub use qasm_parse::{from_qasm, from_qasm_sequential, QasmParseError};

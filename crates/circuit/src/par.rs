@@ -23,30 +23,33 @@ use std::num::NonZeroUsize;
 pub const PAR_THRESHOLD: usize = 4096;
 
 thread_local! {
-    static JOB_WORKER: Cell<bool> = const { Cell::new(false) };
+    static SEQUENTIAL: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Number of worker threads `par_map` forks: the machine's available
 /// parallelism, capped at 8 (the fan-out stops paying past that on the
-/// memory-bound compile stages), or 1 on a thread marked by
-/// [`mark_job_worker`].
+/// memory-bound compile stages), or 1 inside [`sequentially`].
 pub fn worker_count() -> usize {
-    if JOB_WORKER.with(Cell::get) {
+    if SEQUENTIAL.with(Cell::get) {
         return 1;
     }
     std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1).min(8)
 }
 
-/// Marks the calling thread as a worker of a job-level pool, such as the
-/// `serve` daemon's compile workers and connection handlers: from then on
-/// [`worker_count`] is 1 on it, so every fan-out sized by it (`par_map`,
-/// the chunked parse, the parallel unroll) runs on the thread itself. The
-/// pool already spreads whole jobs over the cores, so nested fan-out only
-/// oversubscribes them, and every thread it forks may take a malloc arena
-/// of its own that keeps its freed memory. The output is the same either
-/// way.
-pub fn mark_job_worker() {
-    JOB_WORKER.with(|w| w.set(true));
+/// Runs `f` with every fan-out sized by [`worker_count`] (`par_map`, the
+/// chunked parse, the parallel unroll) kept on the calling thread, for a
+/// caller that already runs jobs side by side on the cores. The output is
+/// the same either way.
+pub fn sequentially<R>(f: impl FnOnce() -> R) -> R {
+    /// Restores the caller's setting, also when `f` panics.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SEQUENTIAL.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(SEQUENTIAL.with(|s| s.replace(true)));
+    f()
 }
 
 /// Maps `f` over `items`, forking onto scoped threads when the slice is
@@ -80,6 +83,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::catch_unwind;
 
     #[test]
     fn small_inputs_stay_sequential_and_ordered() {
@@ -95,21 +99,21 @@ mod tests {
     }
 
     #[test]
-    fn job_workers_map_on_their_own_thread() {
+    fn sequentially_maps_on_the_calling_thread_and_restores() {
         let items: Vec<usize> = (0..2 * PAR_THRESHOLD).collect();
         let expected: Vec<usize> = items.iter().map(|&x| x + 1).collect();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                mark_job_worker();
-                assert_eq!(worker_count(), 1);
-                let caller = std::thread::current().id();
-                let out = par_map(&items, |&x| {
-                    assert_eq!(std::thread::current().id(), caller, "forked a thread");
-                    x + 1
-                });
-                assert_eq!(out, expected);
-            });
+        let caller = std::thread::current().id();
+        let out = sequentially(|| {
+            assert_eq!(worker_count(), 1);
+            par_map(&items, |&x| {
+                assert_eq!(std::thread::current().id(), caller, "forked a thread");
+                x + 1
+            })
         });
+        assert_eq!(out, expected);
+        let outside = worker_count();
+        assert!(catch_unwind(|| sequentially(|| panic!("job panic"))).is_err());
+        assert_eq!(worker_count(), outside, "a panic left the thread sequential");
     }
 
     #[test]

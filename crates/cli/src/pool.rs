@@ -87,28 +87,23 @@ impl WorkerPool {
         let handles = (0..workers)
             .map(|_| {
                 let receiver = Arc::clone(&receiver);
-                std::thread::spawn(move || {
-                    // Jobs already run in parallel; each runs on its
-                    // worker alone.
-                    dqc_circuit::mark_job_worker();
-                    loop {
-                        // Holding the lock only while receiving keeps the
-                        // queue a fair single-consumer handoff.
-                        let job = {
-                            let guard = match receiver.lock() {
-                                Ok(g) => g,
-                                Err(poisoned) => poisoned.into_inner(),
-                            };
-                            guard.recv()
+                std::thread::spawn(move || loop {
+                    // Holding the lock only while receiving keeps the
+                    // queue a fair single-consumer handoff.
+                    let job = {
+                        let guard = match receiver.lock() {
+                            Ok(g) => g,
+                            Err(poisoned) => poisoned.into_inner(),
                         };
-                        match job {
-                            Ok(job) => {
-                                // The job owns its error channel; the panic
-                                // message is intentionally dropped here.
-                                let _ = catch_panic(job);
-                            }
-                            Err(_) => break, // queue closed: pool is shutting down
+                        guard.recv()
+                    };
+                    match job {
+                        Ok(job) => {
+                            // The job owns its error channel; the panic
+                            // message is intentionally dropped here.
+                            let _ = catch_panic(job);
                         }
+                        Err(_) => break, // queue closed: pool is shutting down
                     }
                 })
             })

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use autocomm::{ArtifactCircuitStats, CompiledArtifact};
 use dqc_circuit::{
-    bytes_content_hash, circuit_content_hash, from_qasm, mark_job_worker, worker_count, Circuit,
+    bytes_content_hash, circuit_content_hash, from_qasm, sequentially, worker_count, Circuit,
     ContentHash,
 };
 
@@ -160,19 +160,11 @@ struct CacheInner {
     /// The use clock: bumped on every lookup and insert, so the ready
     /// entry with the smallest tick is the least recently used.
     tick: u64,
+    /// Ready entries in `map`.
+    ready: usize,
     hits: usize,
     misses: usize,
     coalesced: usize,
-}
-
-impl CacheInner {
-    /// The ready entries' use ticks and keys.
-    fn ready(&self) -> impl Iterator<Item = (u64, &String)> {
-        self.map.iter().filter_map(|(key, slot)| match slot {
-            Slot::Ready(_, used) => Some((*used, key)),
-            Slot::InFlight(_) => None,
-        })
-    }
 }
 
 /// Bounded single-flight LRU over compiled artifacts.
@@ -229,10 +221,20 @@ impl ArtifactCache {
                 inner.tick += 1;
                 let tick = inner.tick;
                 inner.map.insert(key.to_string(), Slot::Ready(Arc::clone(entry), tick));
-                if inner.ready().count() > self.capacity {
-                    if let Some((_, oldest)) = inner.ready().min() {
-                        let oldest = oldest.clone();
+                inner.ready += 1;
+                if inner.ready > self.capacity {
+                    let oldest = inner
+                        .map
+                        .iter()
+                        .filter_map(|(key, slot)| match slot {
+                            Slot::Ready(_, used) => Some((*used, key)),
+                            Slot::InFlight(_) => None,
+                        })
+                        .min()
+                        .map(|(_, key)| key.clone());
+                    if let Some(oldest) = oldest {
                         inner.map.remove(&oldest);
+                        inner.ready -= 1;
                     }
                 }
             }
@@ -254,7 +256,7 @@ impl ArtifactCache {
 
     fn stats(&self) -> (usize, usize, usize, usize) {
         let inner = self.lock();
-        (inner.hits, inner.misses, inner.coalesced, inner.ready().count())
+        (inner.hits, inner.misses, inner.coalesced, inner.ready)
     }
 }
 
@@ -321,6 +323,8 @@ struct ServiceState {
     hash_memo: HashMemo,
     pool: WorkerPool,
     queue_depth: AtomicUsize,
+    /// Compile requests being handled, hits included.
+    compiling: AtomicUsize,
     shutdown: AtomicBool,
     latency: Mutex<LatencyLog>,
 }
@@ -328,6 +332,20 @@ struct ServiceState {
 impl ServiceState {
     fn latency(&self) -> std::sync::MutexGuard<'_, LatencyLog> {
         self.latency.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Runs a request's CPU work: its QASM parse or its compile. Alone in
+    /// the daemon, the work fans out over the cores as a plain `compile`
+    /// does. While other compile requests are in progress, the requests
+    /// already share the cores, so it stays on its own thread: nested
+    /// fan-out would only oversubscribe them, and every extra live thread
+    /// may take a malloc arena that keeps its freed memory.
+    fn run_job<R>(&self, job: impl FnOnce() -> R) -> R {
+        if self.compiling.load(Ordering::SeqCst) > 1 {
+            sequentially(job)
+        } else {
+            job()
+        }
     }
 }
 
@@ -407,7 +425,7 @@ fn handle_compile(state: &Arc<ServiceState>, req: &Json) -> String {
     let (hash, parsed) = match state.hash_memo.get(qasm) {
         Some(hash) => (hash, None),
         None => {
-            let (circuit, parse_ms) = match parse_qasm(qasm) {
+            let (circuit, parse_ms) = match state.run_job(|| parse_qasm(qasm)) {
                 Ok(parsed) => parsed,
                 Err(msg) => return error_response(&msg),
             };
@@ -430,13 +448,14 @@ fn handle_compile(state: &Arc<ServiceState>, req: &Json) -> String {
         Lookup::Begin(flight) => {
             // Memo hit but cache miss (evicted entry, or the same circuit
             // under new flags): parse now — the compile needs the circuit.
-            let (circuit, parse_ms) = match parsed.map_or_else(|| parse_qasm(qasm), Ok) {
-                Ok(parsed) => parsed,
-                Err(msg) => {
-                    state.cache.complete(&key, Err(msg.clone()));
-                    return error_response(&msg);
-                }
-            };
+            let (circuit, parse_ms) =
+                match parsed.map_or_else(|| state.run_job(|| parse_qasm(qasm)), Ok) {
+                    Ok(parsed) => parsed,
+                    Err(msg) => {
+                        state.cache.complete(&key, Err(msg.clone()));
+                        return error_response(&msg);
+                    }
+                };
             state.queue_depth.fetch_add(1, Ordering::SeqCst);
             let job_state = Arc::clone(state);
             let job_key = key.clone();
@@ -446,7 +465,9 @@ fn handle_compile(state: &Arc<ServiceState>, req: &Json) -> String {
                 // panics — a hung flight would deadlock every coalesced
                 // waiter.
                 let result = catch_panic(|| {
-                    compile_entry(&circuit, &request, &topology, &job_key, parse_ms)
+                    job_state.run_job(|| {
+                        compile_entry(&circuit, &request, &topology, &job_key, parse_ms)
+                    })
                 })
                 .unwrap_or_else(|msg| Err(format!("compile panicked: {msg}")));
                 job_state.cache.complete(&job_key, result);
@@ -530,7 +551,12 @@ fn handle_line(state: &Arc<ServiceState>, line: &str) -> (String, bool) {
     };
     state.latency().requests += 1;
     match req.get("op").and_then(Json::as_str) {
-        Some("compile") => (handle_compile(state, &req), false),
+        Some("compile") => {
+            state.compiling.fetch_add(1, Ordering::SeqCst);
+            let response = handle_compile(state, &req);
+            state.compiling.fetch_sub(1, Ordering::SeqCst);
+            (response, false)
+        }
         Some("artifact") => (handle_artifact(state, &req), false),
         Some("stats") => (handle_stats(state), false),
         Some("shutdown") => {
@@ -547,9 +573,6 @@ fn handle_line(state: &Arc<ServiceState>, line: &str) -> (String, bool) {
 }
 
 fn handle_connection(state: Arc<ServiceState>, stream: TcpStream) {
-    // Connections are served in parallel already; a QASM parse on a memo
-    // miss runs on this thread alone.
-    mark_job_worker();
     // A short read timeout lets idle connections notice shutdown without
     // a dedicated waker per connection.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
@@ -635,6 +658,7 @@ pub fn serve_on(listener: TcpListener, args: ServeArgs) -> Result<(), CliError> 
         hash_memo: HashMemo::new(args.cache_capacity.saturating_mul(4)),
         pool: WorkerPool::new(args.workers),
         queue_depth: AtomicUsize::new(0),
+        compiling: AtomicUsize::new(0),
         shutdown: AtomicBool::new(false),
         latency: Mutex::new(LatencyLog::default()),
     });
@@ -831,6 +855,24 @@ mod tests {
             compile_ms: 1.0,
             pass_ms: Vec::new(),
         }
+    }
+
+    /// A request alone in the daemon fans out like a plain compile; one
+    /// handled alongside other compile requests stays on its own thread.
+    #[test]
+    fn jobs_fan_out_only_when_alone() {
+        let state = ServiceState {
+            cache: ArtifactCache::new(1),
+            hash_memo: HashMemo::new(1),
+            pool: WorkerPool::new(1),
+            queue_depth: AtomicUsize::new(0),
+            compiling: AtomicUsize::new(1),
+            shutdown: AtomicBool::new(false),
+            latency: Mutex::new(LatencyLog::default()),
+        };
+        assert_eq!(state.run_job(worker_count), worker_count());
+        state.compiling.store(2, Ordering::SeqCst);
+        assert_eq!(state.run_job(worker_count), 1);
     }
 
     #[test]

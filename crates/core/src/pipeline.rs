@@ -1004,8 +1004,12 @@ mod tests {
         // The placement driver after accepted rounds: seed 2 takes one
         // partition-preserving round, seed 4 two rounds that end on a new
         // partition. A partition-preserving round re-assigns incrementally
-        // and leaves the assign/metrics reports of the run that built the
-        // analysis in place, as the CLI has always printed them.
+        // but leaves the assign/metrics reports of the run that built the
+        // analysis in place, so seed 2's `assign` and `metrics` lines below
+        // are stale: they describe the identity run, not the returned
+        // assignment. That is a known defect (a FOUND entry in CHANGES.md),
+        // pinned here only because the CLI prints these lines; fixing it
+        // changes these two expectations.
         let p = Partition::block(8, 4).unwrap();
         let hw = HardwareSpec::for_partition(&p)
             .with_topology(dqc_hardware::NetworkTopology::linear(4).unwrap())
